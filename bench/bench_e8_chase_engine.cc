@@ -1,8 +1,8 @@
 // E8 -- chase substrate microbenchmarks (google-benchmark).
 //
-// Forward-chase and homomorphism-search throughput on random workloads,
-// with the (relation, position, term) index ablation: the indexed search
-// should win by a growing factor as instances grow. Results are teed into
+// Forward-chase and homomorphism-search throughput on random workloads.
+// The hom search runs on the columnar postings index; its access-path
+// counters are teed alongside the timings. Results are teed into
 // BENCH_E8.json so the perf trajectory is machine-comparable; this binary
 // also guards the "observability disabled costs < 2%" budget.
 #include "bench/bench_common.h"
@@ -66,20 +66,14 @@ void BM_ForwardChase(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardChase)->Arg(100)->Arg(1000)->Arg(5000);
 
-// A/B of the two physical layouts (docs/STORAGE.md): Indexed runs the
-// columnar path (postings-list probes), Scan runs the row path with the
-// index ablated (full tuple scans) — the PR-8 baseline the ≥5x speedup
-// gate in BENCH_E8.json is measured against.
-void HomSearchBody(benchmark::State& state, InstanceLayout layout,
-                   bool use_index) {
+// The two-atom join over the columnar snapshot (docs/STORAGE.md):
+// postings-list probes for every bound position.
+void HomSearchBody(benchmark::State& state) {
   Instance source = BenchSource(static_cast<size_t>(state.range(0)));
-  source.WarmIndex();
-  if (layout == InstanceLayout::kColumnar) source.WarmColumnar();
+  source.WarmColumnar();
   Result<Tgd> pattern_holder =
       ParseTgd("E8R(hx, hy), E8R(hy, hz) -> E8T(hx, hz)");
   HomSearchOptions options;
-  options.layout = layout;
-  options.use_index = use_index;
   for (auto _ : state) {
     size_t count = 0;
     ForEachHomomorphism(pattern_holder->body(), source, options,
@@ -125,19 +119,8 @@ void HomSearchBody(benchmark::State& state, InstanceLayout layout,
   }
 }
 
-void BM_HomSearchIndexed(benchmark::State& state) {
-  HomSearchBody(state, InstanceLayout::kColumnar, /*use_index=*/true);
-}
+void BM_HomSearchIndexed(benchmark::State& state) { HomSearchBody(state); }
 BENCHMARK(BM_HomSearchIndexed)
-    ->ArgNames({"q"})
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(4000);
-
-void BM_HomSearchScan(benchmark::State& state) {
-  HomSearchBody(state, InstanceLayout::kRow, /*use_index=*/false);
-}
-BENCHMARK(BM_HomSearchScan)
     ->ArgNames({"q"})
     ->Arg(100)
     ->Arg(1000)

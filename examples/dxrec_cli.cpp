@@ -111,7 +111,6 @@ void PrintHelp() {
       "          set <key> <value> | help | quit\n"
       "set keys: cover_nodes cover_covers max_recoveries threads\n"
       "          deadline_ms degrade profile snapshot_interval stats\n"
-      "          layout (row|columnar; columnar is the default)\n"
       "flags:    --trace[=<file>]        Chrome trace-event JSON on exit\n"
       "                                  (default dxrec_trace.json)\n"
       "          --metrics-json[=<file>] metrics/span run report on exit\n"
@@ -411,24 +410,6 @@ class Shell {
           std::strtod(raw.c_str(), nullptr);
       options_.obs.enabled = true;
       obs::Apply(options_.obs);
-    } else if (key == "layout") {
-      // Physical layout for every hom-search (docs/STORAGE.md). Either
-      // value yields byte-identical results; 'row' keeps the oracle path.
-      if (raw == "row") {
-        options_.algorithms.layout = InstanceLayout::kRow;
-      } else if (raw == "columnar" || raw == "col") {
-        options_.algorithms.layout = InstanceLayout::kColumnar;
-      } else {
-        std::printf("layout must be 'row' or 'columnar'\n");
-        return;
-      }
-      if (engine_) {
-        engine_ = std::make_unique<Engine>(
-            DependencySet(engine_->sigma()), options_);
-      }
-      std::printf("layout = %s\n",
-                  InstanceLayoutName(options_.algorithms.layout));
-      return;
     } else {
       std::printf("unknown key '%s' (try 'help')\n", key.c_str());
       return;

@@ -3,7 +3,10 @@
 // Connects N clients to a running dxrecd, opens a session per client (or
 // one shared session), and drives `certain` requests back-to-back — each
 // client keeps exactly one request in flight, so the next line on its
-// connection is always the response to the request it just sent.
+// connection is always the response to the request it just sent. Session
+// names carry a per-run nonce and every session is closed at the end, so
+// repeated runs against one long-lived daemon never see each other's
+// sessions. A failed open or close fails the run (exit status 1).
 // Latencies land in an HDR histogram and the run summary is written as
 // JSON (default BENCH_SERVE.json): request counts by outcome, rung
 // distribution, and p50/p90/p99/p999/max/mean latency in microseconds.
@@ -27,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -64,7 +68,22 @@ struct LoadgenOptions {
   size_t scale = 24;
   int64_t deadline_ms = 0;
   std::string out = "BENCH_SERVE.json";
+  std::string nonce;  // per-run session-name suffix
 };
+
+// A fresh per-run nonce for session names.
+std::string RunNonce() {
+  std::random_device device;
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%08x%08x", device(), device());
+  return buffer;
+}
+
+std::string SessionName(const LoadgenOptions& options, size_t client) {
+  std::string name = "load-" + options.nonce;
+  if (!options.shared_session) name += "-" + std::to_string(client);
+  return name;
+}
 
 // Workload: the paper's existential projection shape. Every T1 atom has
 // a cover, so `certain` does real inverse-chase work that grows with
@@ -91,6 +110,8 @@ struct Tally {
   uint64_t shed = 0;              // error kind "overloaded"
   uint64_t errors = 0;            // every other error
   uint64_t transport_failures = 0;
+  uint64_t open_failures = 0;   // open_session answered with an error
+  uint64_t close_failures = 0;  // close_session failed or errored
   std::map<std::string, uint64_t> rungs;
   std::map<std::string, uint64_t> error_kinds;
 };
@@ -102,6 +123,44 @@ bool RoundTrip(serve::Connection& conn, const std::string& line,
   Result<std::string> reply = conn.ReadLine();
   if (!reply.ok()) return false;
   *response = std::move(*reply);
+  return true;
+}
+
+// The error kind of a response ("" when it is ok, "unknown" when the
+// line is not a well-formed response).
+std::string ErrorKind(const std::string& response) {
+  Result<serve::JsonValue> parsed = serve::ParseJson(response);
+  if (!parsed.ok()) return "unknown";
+  const serve::JsonValue* ok = parsed->Find("ok");
+  if (ok != nullptr && ok->is_bool() && ok->AsBool()) return "";
+  if (const serve::JsonValue* error = parsed->Find("error")) {
+    if (const serve::JsonValue* kind = error->Find("kind")) {
+      if (kind->is_string()) return kind->AsString();
+    }
+  }
+  return "unknown";
+}
+
+// Sends close_session for `session`; false (with a stderr line) when the
+// round trip fails or the daemon answers with an error.
+bool CloseSession(serve::Connection& conn, const std::string& session,
+                  const std::string& id) {
+  serve::JsonObject close;
+  close["id"] = serve::JsonValue(id);
+  close["op"] = serve::JsonValue("close_session");
+  close["session"] = serve::JsonValue(session);
+  std::string response;
+  if (!RoundTrip(conn, serve::JsonValue(std::move(close)).Serialize(),
+                 &response)) {
+    std::fprintf(stderr, "serve_loadgen: close_session %s: transport error\n",
+                 session.c_str());
+    return false;
+  }
+  if (!ErrorKind(response).empty()) {
+    std::fprintf(stderr, "serve_loadgen: close_session %s failed: %s\n",
+                 session.c_str(), response.c_str());
+    return false;
+  }
   return true;
 }
 
@@ -150,8 +209,7 @@ void ClientLoop(const LoadgenOptions& options, size_t client,
     return;
   }
 
-  const std::string session =
-      options.shared_session ? "load" : "load" + std::to_string(client);
+  const std::string session = SessionName(options, client);
   serve::JsonObject open;
   open["id"] = serve::JsonValue("open-" + std::to_string(client));
   open["op"] = serve::JsonValue("open_session");
@@ -165,9 +223,18 @@ void ClientLoop(const LoadgenOptions& options, size_t client,
     tally->transport_failures += options.requests;
     return;
   }
-  // Under --shared-session every client opens "load"; the losers get
-  // session_exists, which means the session is there — exactly what we
-  // need.
+  // Under --shared-session every client opens the same name; the losers
+  // get session_exists, which means the session is there — exactly what
+  // we need. Any other error means there is no session to query.
+  const std::string open_error = ErrorKind(response);
+  if (!open_error.empty() &&
+      !(options.shared_session && open_error == "session_exists")) {
+    std::fprintf(stderr, "serve_loadgen: client %zu: open_session %s "
+                 "failed: %s\n", client, session.c_str(), response.c_str());
+    std::lock_guard<std::mutex> lock(tally->mu);
+    ++tally->open_failures;
+    return;
+  }
 
   serve::JsonObject request;
   request["op"] = serve::JsonValue("certain");
@@ -193,6 +260,12 @@ void ClientLoop(const LoadgenOptions& options, size_t client,
     if (i < options.warmup) continue;
     latency->Record(micros < 0 ? 0 : static_cast<uint64_t>(micros));
     RecordResponse(response, tally);
+  }
+  // A shared session is closed by main() once every client is done.
+  if (!options.shared_session &&
+      !CloseSession(**conn, session, "close-" + std::to_string(client))) {
+    std::lock_guard<std::mutex> lock(tally->mu);
+    ++tally->close_failures;
   }
 }
 
@@ -248,6 +321,7 @@ int main(int argc, char** argv) {
   }
   if (!out_str.empty()) options.out = out_str;
   if (options.clients == 0) options.clients = 1;
+  options.nonce = RunNonce();
 
   auto latency = std::make_unique<obs::Histogram>();
   Tally tally;
@@ -260,6 +334,14 @@ int main(int argc, char** argv) {
     });
   }
   for (std::thread& t : clients) t.join();
+  if (options.shared_session) {
+    Result<std::unique_ptr<serve::Connection>> conn =
+        serve::TcpConnect(options.port);
+    if (!conn.ok() ||
+        !CloseSession(**conn, SessionName(options, 0), "close-shared")) {
+      ++tally.close_failures;
+    }
+  }
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -274,6 +356,7 @@ int main(int argc, char** argv) {
   config["shared_session"] = serve::JsonValue(options.shared_session);
   config["scale"] = serve::JsonValue(static_cast<int64_t>(options.scale));
   config["deadline_ms"] = serve::JsonValue(options.deadline_ms);
+  config["session_prefix"] = serve::JsonValue("load-" + options.nonce);
 
   serve::JsonObject latency_json;
   latency_json["count"] =
@@ -302,6 +385,10 @@ int main(int argc, char** argv) {
   summary["errors"] = serve::JsonValue(static_cast<int64_t>(tally.errors));
   summary["transport_failures"] =
       serve::JsonValue(static_cast<int64_t>(tally.transport_failures));
+  summary["open_failures"] =
+      serve::JsonValue(static_cast<int64_t>(tally.open_failures));
+  summary["close_failures"] =
+      serve::JsonValue(static_cast<int64_t>(tally.close_failures));
   summary["rungs"] = serve::JsonValue(CountsJson(tally.rungs));
   summary["error_kinds"] = serve::JsonValue(CountsJson(tally.error_kinds));
   summary["latency_micros"] = serve::JsonValue(std::move(latency_json));
@@ -329,5 +416,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(latency->ValueAtQuantile(0.99)),
       static_cast<unsigned long long>(latency->ValueAtQuantile(0.999)),
       options.out.c_str());
+  if (tally.open_failures > 0 || tally.close_failures > 0) {
+    std::fprintf(stderr,
+                 "serve_loadgen: %llu open_session and %llu close_session "
+                 "failures\n",
+                 static_cast<unsigned long long>(tally.open_failures),
+                 static_cast<unsigned long long>(tally.close_failures));
+    return 1;
+  }
   return tally.transport_failures == 0 ? 0 : 2;
 }

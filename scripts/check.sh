@@ -18,9 +18,9 @@
 # on the pool or the parallel inverse chase without a full tsan suite.
 #
 # Always runs a dxrecd serve smoke: boots the server on an ephemeral
-# port, drives it with serve_loadgen, validates BENCH_SERVE.json
-# percentiles + OpenMetrics + JSONL telemetry, and asserts a clean
-# SIGTERM drain. With DXREC_CHECK_SERVE_FAULTS=1, repeats under injected
+# port, drives it with two serve_loadgen runs at different scales,
+# validates both BENCH_SERVE summaries' percentiles + OpenMetrics + JSONL
+# telemetry, and asserts a clean SIGTERM drain. With DXREC_CHECK_SERVE_FAULTS=1, repeats under injected
 # transport faults and fault-plus-overload pressure (docs/SERVING.md).
 #
 # Always validates the CLI's --openmetrics exposition (and a non-empty
@@ -131,7 +131,7 @@ if ! diff -u "$om_dir/ea_t1.txt" "$om_dir/ea_t4.txt"; then
   exit 1
 fi
 for marker in 'operator tree:' 'access paths' 'step1 hom_enum' 'cover 0' \
-    'step6 g_hom' 'step7 verify' 'sel%' 'layout=columnar' 'lay=col'; do
+    'step6 g_hom' 'step7 verify' 'sel%'; do
   if ! grep -qF "$marker" "$om_dir/ea_t1.txt"; then
     echo "explain analyze output missing '$marker'" >&2
     cat "$om_dir/ea_t1.txt" >&2
@@ -147,27 +147,30 @@ if ! grep -q '^# TYPE dxrec_stats_' "$om_dir/stats.om"; then
 fi
 echo "explain analyze: deterministic tree + stats families OK"
 
-# Row-vs-columnar differential smoke: the same recovery session on both
-# physical layouts must print byte-identical recoveries (the
-# docs/STORAGE.md equivalence contract; tests/columnar_diff_test.cc is
-# the exhaustive version, this catches a CLI-level layout wiring break).
-echo "=== layout differential check ==="
+# Recovery differential smoke: the same CLI recovery session at
+# threads=1 and threads=4 must print byte-identical output, and both must
+# match the committed golden (tests/golden/cli_recover_warehouse.txt;
+# tests/columnar_diff_test.cc is the exhaustive version, this catches a
+# CLI-level wiring break).
+echo "=== recovery differential check ==="
 diff_target='{Ledger(ann, o1), Shipment(o1, tea), Available(tea)}'
 # The recover summary line carries wall-clock ms — strip it; everything
 # else (counters and the recoveries themselves) must match byte-for-byte.
-printf 'loadsigma examples/data/warehouse.tgds\ntarget %s\nrecover\nquit\n' \
-    "$diff_target" \
-  | build/examples/dxrec_cli \
-  | sed 's/ | ms: [^]]*\]/]/' >"$om_dir/rec_col.txt"
-printf 'loadsigma examples/data/warehouse.tgds\nset layout row\ntarget %s\nrecover\nquit\n' \
-    "$diff_target" \
-  | build/examples/dxrec_cli | grep -v '^layout = ' \
-  | sed 's/ | ms: [^]]*\]/]/' >"$om_dir/rec_row.txt"
-if ! diff -u "$om_dir/rec_col.txt" "$om_dir/rec_row.txt"; then
-  echo "row and columnar layouts produced different recoveries" >&2
+for threads in 1 4; do
+  printf 'loadsigma examples/data/warehouse.tgds\ntarget %s\nrecover\nquit\n' \
+      "$diff_target" \
+    | build/examples/dxrec_cli --threads="$threads" \
+    | sed 's/ | ms: [^]]*\]/]/' >"$om_dir/rec_t$threads.txt"
+done
+if ! diff -u "$om_dir/rec_t1.txt" "$om_dir/rec_t4.txt"; then
+  echo "recover output diverged between threads=1 and threads=4" >&2
   exit 1
 fi
-echo "layout differential: row == columnar OK"
+if ! diff -u tests/golden/cli_recover_warehouse.txt "$om_dir/rec_t1.txt"; then
+  echo "recover output diverged from the committed golden" >&2
+  exit 1
+fi
+echo "recovery differential: threads=1 == threads=4 == golden OK"
 
 # dxrecd serve smoke (always on): boot the server on an ephemeral port,
 # drive it with the closed-loop load generator, validate the BENCH_SERVE
@@ -179,6 +182,8 @@ cmake --build --preset default -j "$jobs" --target dxrecd serve_loadgen \
     >/dev/null
 serve_smoke() {
   # serve_smoke <name> <loadgen-exit-tolerant> <dxrecd-args...>
+  # Runs serve_loadgen once per LOADGEN_SCALES entry against the same
+  # daemon; run i writes BENCH_SERVE_<name>_<i>.json.
   local name="$1" tolerant="$2"; shift 2
   build/examples/dxrecd --port=0 \
       --openmetrics="$om_dir/serve_$name.om" \
@@ -198,15 +203,20 @@ serve_smoke() {
     kill -KILL $daemon 2>/dev/null || true
     exit 1
   fi
-  if [ "$tolerant" = "tolerant" ]; then
-    build/examples/serve_loadgen --port="$port" \
-        --out="$om_dir/BENCH_SERVE_$name.json" "${LOADGEN_ARGS[@]}" \
-        >"$om_dir/loadgen_$name.out" || true
-  else
-    build/examples/serve_loadgen --port="$port" \
-        --out="$om_dir/BENCH_SERVE_$name.json" "${LOADGEN_ARGS[@]}" \
-        >"$om_dir/loadgen_$name.out"
-  fi
+  local i
+  for i in "${!LOADGEN_SCALES[@]}"; do
+    if [ "$tolerant" = "tolerant" ]; then
+      build/examples/serve_loadgen --port="$port" \
+          --out="$om_dir/BENCH_SERVE_${name}_$i.json" "${LOADGEN_ARGS[@]}" \
+          --scale="${LOADGEN_SCALES[$i]}" \
+          >"$om_dir/loadgen_${name}_$i.out" || true
+    else
+      build/examples/serve_loadgen --port="$port" \
+          --out="$om_dir/BENCH_SERVE_${name}_$i.json" "${LOADGEN_ARGS[@]}" \
+          --scale="${LOADGEN_SCALES[$i]}" \
+          >"$om_dir/loadgen_${name}_$i.out"
+    fi
+  done
   kill -TERM $daemon
   local rc=0
   wait $daemon || rc=$?
@@ -221,23 +231,34 @@ serve_smoke() {
   fi
 }
 
+# Two runs at different scales against one daemon: the second must query
+# its own sessions, not the first run's.
 LOADGEN_ARGS=(--clients=4 --requests=50)
+LOADGEN_SCALES=(24 48)
 serve_smoke baseline strict
-python3 - "$om_dir/BENCH_SERVE_baseline.json" <<'EOF'
+python3 - "$om_dir/BENCH_SERVE_baseline_0.json" \
+    "$om_dir/BENCH_SERVE_baseline_1.json" <<'EOF'
 import json, sys
-summary = json.load(open(sys.argv[1]))
-latency = summary["latency_micros"]
-for key in ("count", "p50", "p90", "p99", "p999", "max", "mean"):
-    assert key in latency, f"latency_micros missing {key}"
-assert latency["count"] == 200, latency["count"]
-assert summary["transport_failures"] == 0, summary
-answered = summary["ok"] + summary["shed"] + summary["errors"]
-assert answered == latency["count"], (answered, latency["count"])
-assert summary["ok"] > 0, summary
-print(f"serve smoke: {latency['count']} requests, "
-      f"p50={latency['p50']}us p99={latency['p99']}us "
-      f"p999={latency['p999']}us, ok={summary['ok']} "
-      f"shed={summary['shed']} errors={summary['errors']}")
+prefixes = set()
+for path, scale in zip(sys.argv[1:], (24, 48)):
+    summary = json.load(open(path))
+    assert summary["config"]["scale"] == scale, summary["config"]
+    prefixes.add(summary["config"]["session_prefix"])
+    latency = summary["latency_micros"]
+    for key in ("count", "p50", "p90", "p99", "p999", "max", "mean"):
+        assert key in latency, f"latency_micros missing {key}"
+    assert latency["count"] == 200, latency["count"]
+    assert summary["transport_failures"] == 0, summary
+    assert summary["open_failures"] == 0, summary
+    assert summary["close_failures"] == 0, summary
+    answered = summary["ok"] + summary["shed"] + summary["errors"]
+    assert answered == latency["count"], (answered, latency["count"])
+    assert summary["ok"] > 0, summary
+    print(f"serve smoke (scale={scale}): {latency['count']} requests, "
+          f"p50={latency['p50']}us p99={latency['p99']}us "
+          f"p999={latency['p999']}us, ok={summary['ok']} "
+          f"shed={summary['shed']} errors={summary['errors']}")
+assert len(prefixes) == 2, f"runs shared a session prefix: {prefixes}"
 EOF
 python3 scripts/validate_openmetrics.py "$om_dir/serve_baseline.om"
 if ! grep -q '^dxrec_serve_requests_total ' "$om_dir/serve_baseline.om"; then
@@ -252,7 +273,7 @@ for line in lines:
     json.loads(line)
 print(f"serve telemetry: {len(lines)} JSONL snapshots, all parse")
 EOF
-cp "$om_dir/BENCH_SERVE_baseline.json" BENCH_SERVE.json
+cp "$om_dir/BENCH_SERVE_baseline_0.json" BENCH_SERVE.json
 echo "serve smoke OK (summary copied to BENCH_SERVE.json)"
 
 # Fault-injected serve pass (opt-in): the daemon under injected faults
@@ -264,6 +285,7 @@ if [ "${DXREC_CHECK_SERVE_FAULTS:-0}" = "1" ]; then
   # 1. Transport fault: an injected read failure drops one connection
   #    mid-stream; the daemon keeps serving the rest and drains cleanly.
   LOADGEN_ARGS=(--clients=4 --requests=50)
+  LOADGEN_SCALES=(24)
   serve_smoke readfault tolerant \
       --fault-site=serve.read --fault-kind=status
   echo "serve fault pass: injected read fault, daemon survived and drained"
@@ -272,12 +294,13 @@ if [ "${DXREC_CHECK_SERVE_FAULTS:-0}" = "1" ]; then
   #    through the ladder (sheds and/or overload admissions), the
   #    injected trip must degrade (rung visible), and nothing may be
   #    dropped unanswered.
-  LOADGEN_ARGS=(--clients=16 --requests=20 --warmup=0 --scale=300)
+  LOADGEN_ARGS=(--clients=16 --requests=20 --warmup=0)
+  LOADGEN_SCALES=(300)
   serve_smoke overload strict \
       --threads=1 --queue-capacity=2 --queue-soft-limit=1 \
       --overload-deadline-ms=1 \
       --fault-site=inverse_chase.cover --fault-kind=deadline
-  python3 - "$om_dir/BENCH_SERVE_overload.json" <<'EOF'
+  python3 - "$om_dir/BENCH_SERVE_overload_0.json" <<'EOF'
 import json, sys
 summary = json.load(open(sys.argv[1]))
 count = summary["latency_micros"]["count"]

@@ -1,6 +1,16 @@
 #include "base/fresh.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace dxrec {
+
+void NullSource::AbortExhausted() {
+  std::fprintf(stderr,
+               "dxrec: null label space exhausted (NullSource handed out "
+               "all 2^32-1 labels)\n");
+  std::abort();
+}
 
 NullSource& FreshNulls() {
   static NullSource& source = *new NullSource();

@@ -22,11 +22,22 @@ class NullSource {
   explicit NullSource(uint32_t first_label = 0) : next_(first_label) {}
 
   // Returns a null with a label never before returned by this source.
-  Term Fresh() { return Term::Null(next_.fetch_add(1)); }
+  // Aborts when the 32-bit label space is exhausted: label 0xffffffff is
+  // Term's invalid-id sentinel (is_valid() would read the null as "no
+  // term"), and past it the counter wraps onto labels already handed out.
+  Term Fresh() {
+    const uint32_t label = next_.fetch_add(1);
+    if (label == kExhausted) AbortExhausted();
+    return Term::Null(label);
+  }
 
   uint32_t next_label() const { return next_.load(); }
 
  private:
+  static constexpr uint32_t kExhausted = 0xffffffffu;
+
+  [[noreturn]] static void AbortExhausted();
+
   std::atomic<uint32_t> next_;
 };
 

@@ -20,13 +20,11 @@ std::string Trigger::ToString(const DependencySet& sigma) const {
 
 std::vector<Trigger> FindTriggers(const DependencySet& sigma,
                                   const Instance& input,
-                                  const resilience::ExecutionContext* context,
-                                  InstanceLayout layout) {
+                                  const resilience::ExecutionContext* context) {
   obs::alloc::AllocScope alloc_scope("chase");
   std::vector<Trigger> out;
   HomSearchOptions options;
   options.context = context;
-  options.layout = layout;
   // Per-dependency trigger attribution: body-match searches land in the
   // dependency's own SearchStats (shadowing any enclosing sink), and
   // every body hom found counts as a tested trigger.
@@ -88,7 +86,7 @@ bool UnifyPivot(const Atom& pattern, const Atom& tuple, Substitution* seed) {
 
 std::vector<Trigger> FindTriggersDelta(
     const DependencySet& sigma, const Instance& full, const Instance& delta,
-    const resilience::ExecutionContext* context, InstanceLayout layout) {
+    const resilience::ExecutionContext* context) {
   obs::alloc::AllocScope alloc_scope("chase");
   std::vector<Trigger> out;
   obs::stats::ChaseStats* chase_stats =
@@ -112,7 +110,6 @@ std::vector<Trigger> FindTriggersDelta(
         if (!UnifyPivot(body[pivot], tuple, &seed)) continue;
         HomSearchOptions options;
         options.context = context;
-        options.layout = layout;
         options.fixed = std::move(seed);
         std::vector<Substitution> homs =
             FindHomomorphisms(body, full, options);
@@ -151,16 +148,14 @@ Substitution FireTrigger(const DependencySet& sigma, const Trigger& trigger,
 Instance Chase(const DependencySet& sigma, const Instance& input,
                NullSource* nulls,
                const resilience::ExecutionContext* context,
-               InstanceLayout layout) {
-  return ChaseTriggers(sigma, input,
-                       FindTriggers(sigma, input, context, layout), nulls,
-                       context);
+               InstanceLayout) {
+  return ChaseTriggers(sigma, input, FindTriggers(sigma, input, context),
+                       nulls, context);
 }
 
 Instance ChaseSemiNaive(const DependencySet& sigma, const Instance& input,
                         NullSource* nulls,
-                        const resilience::ExecutionContext* context,
-                        InstanceLayout layout) {
+                        const resilience::ExecutionContext* context) {
   obs::alloc::AllocScope alloc_scope("chase");
   Instance generated;
   Instance full = input;
@@ -171,7 +166,7 @@ Instance ChaseSemiNaive(const DependencySet& sigma, const Instance& input,
       break;
     }
     std::vector<Trigger> triggers =
-        FindTriggersDelta(sigma, full, delta, context, layout);
+        FindTriggersDelta(sigma, full, delta, context);
     if (triggers.empty()) break;
     // ChaseTriggers owns the per-round stats (rounds, deltas, firings).
     Instance round = ChaseTriggers(sigma, full, triggers, nulls, context);
@@ -234,20 +229,17 @@ Instance ChaseTriggers(const DependencySet& sigma, const Instance& input,
 }
 
 bool Satisfies(const DependencySet& sigma, const Instance& source,
-               const Instance& target, InstanceLayout layout) {
+               const Instance& target) {
   for (TgdId id = 0; id < sigma.size(); ++id) {
     const Tgd& tgd = sigma.at(id);
     bool all_extend = true;
-    HomSearchOptions body_options;
-    body_options.layout = layout;
     ForEachHomomorphism(
-        tgd.body(), source, body_options,
+        tgd.body(), source, HomSearchOptions(),
         [&](const Substitution& h) {
           HomSearchOptions head_options;
           // The frontier is pinned by the body match; head existentials
           // are free.
           head_options.fixed = h;
-          head_options.layout = layout;
           if (!FindHomomorphism(tgd.head(), target, head_options)
                    .has_value()) {
             all_extend = false;

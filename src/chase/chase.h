@@ -37,12 +37,9 @@ struct Trigger {
 
 // All triggers of `sigma` on `input`. A tripped `context` (optional)
 // truncates the trigger search; the result is then a sound subset.
-// `layout` picks the physical representation the body matching runs
-// against (relational/columnar.h).
 std::vector<Trigger> FindTriggers(
     const DependencySet& sigma, const Instance& input,
-    const resilience::ExecutionContext* context = nullptr,
-    InstanceLayout layout = InstanceLayout::kRow);
+    const resilience::ExecutionContext* context = nullptr);
 
 // Semi-naive trigger detection: only triggers whose body image touches
 // at least one atom of `delta` are returned. `full` is the instance
@@ -55,8 +52,7 @@ std::vector<Trigger> FindTriggers(
 // (tgd, pivot, delta-insertion) order.
 std::vector<Trigger> FindTriggersDelta(
     const DependencySet& sigma, const Instance& full, const Instance& delta,
-    const resilience::ExecutionContext* context = nullptr,
-    InstanceLayout layout = InstanceLayout::kRow);
+    const resilience::ExecutionContext* context = nullptr);
 
 // Fires one trigger: extends the hom with fresh nulls for the tgd's
 // head-existential variables and appends the instantiated head atoms to
@@ -66,11 +62,12 @@ Substitution FireTrigger(const DependencySet& sigma, const Trigger& trigger,
 
 // Chase(Sigma, I): fires every trigger once. Generated atoms only. A
 // tripped `context` yields the chase of a trigger subset (sound: every
-// generated atom is a true chase atom).
+// generated atom is a true chase atom). The trailing InstanceLayout is
+// ignored; it stays only until dxrec-bench/layers.cc stops passing it.
 Instance Chase(const DependencySet& sigma, const Instance& input,
                NullSource* nulls,
                const resilience::ExecutionContext* context = nullptr,
-               InstanceLayout layout = InstanceLayout::kRow);
+               InstanceLayout = InstanceLayout::kColumnar);
 
 // Round-based chase to fixpoint with semi-naive trigger detection:
 // round k matches bodies only against triggers touching round k-1's
@@ -84,8 +81,7 @@ Instance Chase(const DependencySet& sigma, const Instance& input,
 // (round 1 finds precisely the s-t triggers; round 2 finds none).
 Instance ChaseSemiNaive(const DependencySet& sigma, const Instance& input,
                         NullSource* nulls,
-                        const resilience::ExecutionContext* context = nullptr,
-                        InstanceLayout layout = InstanceLayout::kRow);
+                        const resilience::ExecutionContext* context = nullptr);
 
 // Chase_H(Sigma, I): fires exactly the given triggers (a tripped
 // `context` stops firing early).
@@ -97,8 +93,7 @@ Instance ChaseTriggers(const DependencySet& sigma, const Instance& input,
 // (I, J) |= Sigma: every trigger of every tgd on I extends to a match of
 // the head in J.
 bool Satisfies(const DependencySet& sigma, const Instance& source,
-               const Instance& target,
-               InstanceLayout layout = InstanceLayout::kRow);
+               const Instance& target);
 
 }  // namespace dxrec
 

@@ -18,12 +18,9 @@ bool NullFree(const AnswerTuple& tuple) {
 
 }  // namespace
 
-AnswerSet Evaluate(const ConjunctiveQuery& query, const Instance& instance,
-                   InstanceLayout layout) {
+AnswerSet Evaluate(const ConjunctiveQuery& query, const Instance& instance) {
   AnswerSet out;
-  HomSearchOptions options;
-  options.layout = layout;
-  ForEachHomomorphism(query.body(), instance, options,
+  ForEachHomomorphism(query.body(), instance, HomSearchOptions(),
                       [&](const Substitution& h) {
                         out.insert(h.Apply(query.free_vars()));
                         return true;
@@ -34,19 +31,18 @@ AnswerSet Evaluate(const ConjunctiveQuery& query, const Instance& instance,
   return out;
 }
 
-AnswerSet Evaluate(const UnionQuery& query, const Instance& instance,
-                   InstanceLayout layout) {
+AnswerSet Evaluate(const UnionQuery& query, const Instance& instance) {
   AnswerSet out;
   for (const ConjunctiveQuery& cq : query.disjuncts()) {
-    AnswerSet part = Evaluate(cq, instance, layout);
+    AnswerSet part = Evaluate(cq, instance);
     out.insert(part.begin(), part.end());
   }
   return out;
 }
 
 AnswerSet EvaluateNullFree(const ConjunctiveQuery& query,
-                           const Instance& instance, InstanceLayout layout) {
-  AnswerSet all = Evaluate(query, instance, layout);
+                           const Instance& instance) {
+  AnswerSet all = Evaluate(query, instance);
   AnswerSet out;
   for (const AnswerTuple& t : all) {
     if (NullFree(t)) out.insert(t);
@@ -54,9 +50,9 @@ AnswerSet EvaluateNullFree(const ConjunctiveQuery& query,
   return out;
 }
 
-AnswerSet EvaluateNullFree(const UnionQuery& query,
-                           const Instance& instance, InstanceLayout layout) {
-  AnswerSet all = Evaluate(query, instance, layout);
+AnswerSet EvaluateNullFree(const UnionQuery& query, const Instance& instance,
+                           InstanceLayout) {
+  AnswerSet all = Evaluate(query, instance);
   AnswerSet out;
   for (const AnswerTuple& t : all) {
     if (NullFree(t)) out.insert(t);
@@ -65,12 +61,11 @@ AnswerSet EvaluateNullFree(const UnionQuery& query,
 }
 
 AnswerSet CertainAnswersOver(const UnionQuery& query,
-                             const std::vector<Instance>& instances,
-                             InstanceLayout layout) {
+                             const std::vector<Instance>& instances) {
   AnswerSet out;
   bool first = true;
   for (const Instance& instance : instances) {
-    AnswerSet answers = EvaluateNullFree(query, instance, layout);
+    AnswerSet answers = EvaluateNullFree(query, instance);
     if (first) {
       out = std::move(answers);
       first = false;
@@ -86,12 +81,9 @@ AnswerSet CertainAnswersOver(const UnionQuery& query,
   return out;
 }
 
-bool Holds(const UnionQuery& query, const Instance& instance,
-           InstanceLayout layout) {
-  HomSearchOptions options;
-  options.layout = layout;
+bool Holds(const UnionQuery& query, const Instance& instance) {
   for (const ConjunctiveQuery& cq : query.disjuncts()) {
-    if (FindHomomorphism(cq.body(), instance, options).has_value()) {
+    if (FindHomomorphism(cq.body(), instance).has_value()) {
       return true;
     }
   }

@@ -18,34 +18,26 @@
 
 namespace dxrec {
 
-// Every entry point takes the physical layout the body matching should
-// probe (relational/columnar.h); both layouts yield identical answers.
-
 // Q(I) for a CQ. Answers may contain nulls.
-AnswerSet Evaluate(const ConjunctiveQuery& query, const Instance& instance,
-                   InstanceLayout layout = InstanceLayout::kRow);
+AnswerSet Evaluate(const ConjunctiveQuery& query, const Instance& instance);
 
 // Q(I) for a UCQ (union of the disjunct results).
-AnswerSet Evaluate(const UnionQuery& query, const Instance& instance,
-                   InstanceLayout layout = InstanceLayout::kRow);
+AnswerSet Evaluate(const UnionQuery& query, const Instance& instance);
 
-// Null-free answers only.
+// Null-free answers only. The UCQ overload's trailing InstanceLayout is
+// ignored; it stays only until dxrec-bench/layers.cc stops passing it.
 AnswerSet EvaluateNullFree(const ConjunctiveQuery& query,
-                           const Instance& instance,
-                           InstanceLayout layout = InstanceLayout::kRow);
-AnswerSet EvaluateNullFree(const UnionQuery& query,
-                           const Instance& instance,
-                           InstanceLayout layout = InstanceLayout::kRow);
+                           const Instance& instance);
+AnswerSet EvaluateNullFree(const UnionQuery& query, const Instance& instance,
+                           InstanceLayout = InstanceLayout::kColumnar);
 
 // Intersection of null-free answers over `instances`. An empty list yields
 // an empty answer set (there is nothing to be certain about).
 AnswerSet CertainAnswersOver(const UnionQuery& query,
-                             const std::vector<Instance>& instances,
-                             InstanceLayout layout = InstanceLayout::kRow);
+                             const std::vector<Instance>& instances);
 
 // True iff the Boolean query holds (some homomorphism exists).
-bool Holds(const UnionQuery& query, const Instance& instance,
-           InstanceLayout layout = InstanceLayout::kRow);
+bool Holds(const UnionQuery& query, const Instance& instance);
 
 }  // namespace dxrec
 

@@ -20,7 +20,7 @@ namespace dxrec {
 namespace {
 
 // One search's worth of tallies flushed to the metrics registry. Shared
-// by the sequential Matcher and the parallel driver (which aggregates
+// by the sequential matcher and the parallel driver (which aggregates
 // its chunks into a single logical search before flushing).
 void FlushSearchCounters(uint64_t candidates_tried, uint64_t backtracks,
                          uint64_t results, bool truncated) {
@@ -44,66 +44,25 @@ void FlushSearchCounters(uint64_t candidates_tried, uint64_t backtracks,
   if (truncated) truncations->Add(1);
 }
 
-// Greedy static atom order shared by both matchers: repeatedly pick the
-// atom with the most terms that are constants or already-bound
-// placeholders. The greedy selection is quadratic in the pattern size,
-// so very large patterns (e.g. whole-instance containment checks) fall
-// back to insertion order -- their atoms are mostly ground and
-// candidate lists are index-driven anyway. Both layouts must call this
-// with the same bound set so they explore in the same order.
-std::vector<size_t> ChooseAtomOrder(
-    const std::vector<Atom>& pattern, bool map_nulls,
-    const std::unordered_set<Term, TermHash>& bound) {
-  const auto is_placeholder = [map_nulls](Term t) {
-    return t.is_variable() || (map_nulls && t.is_null());
-  };
-  if (pattern.size() > 192) {
-    std::vector<size_t> order(pattern.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    return order;
-  }
-  std::vector<size_t> order;
-  std::vector<bool> chosen(pattern.size(), false);
-  std::unordered_set<Term, TermHash> seen = bound;
-  for (size_t step = 0; step < pattern.size(); ++step) {
-    size_t best = pattern.size();
-    int best_score = -1;
-    for (size_t i = 0; i < pattern.size(); ++i) {
-      if (chosen[i]) continue;
-      int score = 0;
-      for (Term t : pattern[i].args()) {
-        if (!is_placeholder(t) || seen.count(t) > 0) ++score;
-      }
-      if (score > best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    chosen[best] = true;
-    order.push_back(best);
-    for (Term t : pattern[best].args()) {
-      if (is_placeholder(t)) seen.insert(t);
-    }
-  }
-  return order;
-}
-
-// Backtracking matcher over a greedily chosen atom ordering with
-// index-driven candidate selection.
-class Matcher {
+// Backtracking matcher over a greedily chosen atom ordering, run in code
+// space over the target's columnar snapshot: the pattern is compiled once
+// into dictionary codes and slot indices, candidate selection walks
+// per-(position, code) postings lists, and unification compares uint32
+// codes instead of Terms — an index-nested-loop join that never touches
+// Atom storage until results are decoded. Postings lists hold local rows
+// in insertion order, so enumeration order is a function of the target's
+// insertion order alone (docs/STORAGE.md).
+class ColumnarMatcher {
  public:
-  static constexpr bool kColumnar = false;
-  // Pre-builds the shared read-only structure concurrent chunk matchers
-  // probe (docs/PARALLELISM.md).
-  static void Warm(const Instance& target) { target.WarmIndex(); }
-
-  Matcher(const std::vector<Atom>& pattern, const Instance& target,
-          const HomSearchOptions& options,
-          const std::function<bool(const Substitution&)>& callback)
+  ColumnarMatcher(const std::vector<Atom>& pattern, const Instance& target,
+                  const HomSearchOptions& options,
+                  const std::function<bool(const Substitution&)>& callback)
       : pattern_(pattern),
-        target_(target),
+        columnar_(target.Columnar()),
         options_(options),
-        callback_(callback) {}
+        callback_(callback) {
+    Compile();
+  }
 
   void Run() {
     if (!SeedFixed()) {
@@ -124,13 +83,15 @@ class Matcher {
   //
   // Seeds fixed bindings, fixes the atom order, and copies out the root
   // candidate list Recurse(0) would scan. False when a fixed binding is
-  // inadmissible (the search has no results).
+  // inadmissible (the search has no results). The root list holds
+  // *local* rows of the root relation — opaque to the driver, which only
+  // slices and hands them back.
   bool PlanRoot(std::vector<uint32_t>* roots) {
     quiet_ = true;
     if (!SeedFixed()) return false;
     order_ = ChooseOrder();
     *roots = *CandidatesFor(0, &root_indexed_);
-    root_relation_ = pattern_[order_[0]].relation();
+    root_relation_ = compiled_[order_[0]].rel;
     return true;
   }
 
@@ -160,312 +121,6 @@ class Matcher {
   // Chunk mode: hands the per-relation access rows accumulated during
   // RunChunk to the driver, which merges chunks in slice order and
   // reports the fan-out as one logical search.
-  obs::stats::SearchStats TakeRelationStats() { return std::move(stats_); }
-
- private:
-  bool IsPlaceholder(Term t) const {
-    return t.is_variable() || (options_.map_nulls && t.is_null());
-  }
-
-  // Seeds bindings from options.fixed for placeholders occurring in the
-  // pattern; false when a seed is inadmissible (no results possible).
-  bool SeedFixed() {
-    for (const Atom& a : pattern_) {
-      for (Term t : a.args()) {
-        if (!IsPlaceholder(t) || binding_.count(t) > 0) continue;
-        if (options_.fixed.Binds(t) &&
-            !TryBind(t, options_.fixed.Apply(t))) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  // Local tallies are kept unconditionally (an increment is noise next to
-  // the per-candidate map work) and flushed to the registry only when
-  // observability is on, so the disabled path stays counter-free.
-  void FlushCounters() const {
-    FlushSearchCounters(candidates_tried_, backtracks_, results_,
-                        truncated_);
-  }
-
-  // Per-depth slots into stats_.relations, resolved once per search so
-  // the inner loop pays plain increments when stats are on (std::map
-  // nodes are stable, so the pointers survive later insertions).
-  void BuildDepthSlots() {
-    if (!stats_on_) return;
-    depth_slots_.resize(order_.size());
-    for (size_t d = 0; d < order_.size(); ++d) {
-      depth_slots_[d] = &stats_.relations[pattern_[order_[d]].relation()];
-    }
-  }
-
-  // One logical (non-chunked) search's access-path stats: merged into
-  // the thread's sink and the `stats.*` registry families.
-  void FlushStats() {
-    if (!stats_on_ || quiet_) return;
-    stats_.searches = 1;
-    stats_.candidates_tried = candidates_tried_;
-    stats_.backtracks = backtracks_;
-    stats_.results = results_;
-    stats_.truncated = truncated_ ? 1 : 0;
-    obs::stats::RecordSearch(stats_);
-  }
-
-  // Rare-path pulse: progress work units and, even less often, a search
-  // milestone event. Called every 2^16 candidates. Chunk matchers keep
-  // the progress pulse (the watchdog must see parallel work) but skip
-  // the milestone — a per-chunk candidate count is not the sequential
-  // search's cadence, and emitting it would make event streams depend
-  // on the chunking.
-  void Pulse() const {
-    if (obs::ProgressActive()) obs::NoteWork(1u << 16);
-    if (!quiet_ && obs::EventsEnabled() &&
-        (candidates_tried_ & ((1u << 20) - 1)) == 0) {
-      obs::Emit("hom.milestone",
-                {{"candidates", static_cast<int64_t>(candidates_tried_)},
-                 {"results", static_cast<int64_t>(results_)}});
-    }
-  }
-
-  // Binds placeholder -> image if admissible; returns whether it bound.
-  bool TryBind(Term placeholder, Term image) {
-    if (options_.nulls_to_nulls && placeholder.is_null() &&
-        !image.is_null()) {
-      return false;
-    }
-    if (options_.injective && used_images_.count(image) > 0) return false;
-    if (options_.injective) used_images_.insert(image);
-    binding_.emplace(placeholder, image);
-    return true;
-  }
-
-  void Unbind(Term placeholder, Term image) {
-    if (options_.injective) used_images_.erase(image);
-    binding_.erase(placeholder);
-  }
-
-  // Fixed-seeded placeholders feed the shared greedy ordering, so the
-  // chosen order matches the columnar matcher's for the same inputs.
-  std::vector<size_t> ChooseOrder() const {
-    std::unordered_set<Term, TermHash> bound;
-    for (const auto& [from, to] : binding_) {
-      (void)to;
-      bound.insert(from);
-    }
-    return ChooseAtomOrder(pattern_, options_.map_nulls, bound);
-  }
-
-  // Current image of a pattern term; invalid term if unbound placeholder.
-  Term ImageOf(Term t) const {
-    if (!IsPlaceholder(t)) return t;
-    auto it = binding_.find(t);
-    return it == binding_.end() ? Term() : it->second;
-  }
-
-  // Candidate tuples for the atom at order_[depth]: the tightest index
-  // among bound positions, else the whole relation. *indexed reports
-  // which of the two access paths won.
-  const std::vector<uint32_t>* CandidatesFor(size_t depth,
-                                             bool* indexed) const {
-    const Atom& atom = pattern_[order_[depth]];
-    const std::vector<uint32_t>* candidates = nullptr;
-    if (options_.use_index) {
-      for (uint32_t pos = 0; pos < atom.arity(); ++pos) {
-        Term image = ImageOf(atom.arg(pos));
-        if (!image.is_valid()) continue;
-        const std::vector<uint32_t>& list =
-            target_.AtomsWith(atom.relation(), pos, image);
-        if (candidates == nullptr || list.size() < candidates->size()) {
-          candidates = &list;
-        }
-      }
-    }
-    *indexed = candidates != nullptr;
-    if (candidates == nullptr) {
-      candidates = &target_.AtomsFor(atom.relation());
-    }
-    return candidates;
-  }
-
-  void Recurse(size_t depth) {
-    if (stopped_) return;
-    if (depth == pattern_.size()) {
-      Substitution result;
-      for (const auto& [from, to] : binding_) result.Set(from, to);
-      ++results_;
-      if (!callback_(result)) {
-        stopped_ = true;  // caller asked to stop; not a truncation
-      } else if (results_ >= options_.max_results) {
-        // Silent cutoff made visible: the caller sees max_results homs
-        // and has no way to tell "that's all" from "that's the cap".
-        stopped_ = true;
-        truncated_ = true;
-      }
-      return;
-    }
-    const Atom& atom = pattern_[order_[depth]];
-    const std::vector<uint32_t>* candidates;
-    if (depth == 0 && root_slice_ != nullptr) {
-      candidates = root_slice_;
-      // Chunk mode: the driver records the root list acquisition once;
-      // each chunk accounts only the candidates its slice feeds it, so
-      // slice-order merging reproduces the sequential scan counts.
-      if (stats_on_) depth_slots_[0]->tuples_scanned += candidates->size();
-    } else {
-      bool indexed = false;
-      candidates = CandidatesFor(depth, &indexed);
-      if (stats_on_) {
-        obs::stats::RelationAccess* slot = depth_slots_[depth];
-        ++slot->lists;
-        if (indexed) ++slot->indexed_lists;
-        slot->tuples_scanned += candidates->size();
-      }
-    }
-
-    for (uint32_t idx : *candidates) {
-      const Atom& tuple = target_.atoms()[idx];
-      if (tuple.arity() != atom.arity()) continue;
-      ++candidates_tried_;
-      if ((candidates_tried_ & 0xFFFF) == 0) {
-        Pulse();
-        // Deadline/cancellation at pulse cadence. Stopping here is a
-        // truncation: everything emitted so far is a genuine hom, some
-        // may be missing — exactly the max_results contract.
-        if (options_.context != nullptr &&
-            options_.context->Check() != resilience::StopCause::kNone) {
-          stopped_ = true;
-          truncated_ = true;
-          return;
-        }
-        // Shared cross-search work budget: draw the next batch of
-        // candidates; a dry pool also truncates.
-        if (options_.shared_budget != nullptr &&
-            !options_.shared_budget->TryConsume(
-                obs::SharedBudget::kBatch)) {
-          stopped_ = true;
-          truncated_ = true;
-          return;
-        }
-      }
-      std::vector<std::pair<Term, Term>> newly_bound;
-      bool ok = true;
-      for (uint32_t pos = 0; pos < atom.arity() && ok; ++pos) {
-        Term p = atom.arg(pos);
-        Term t = tuple.arg(pos);
-        Term image = ImageOf(p);
-        if (image.is_valid()) {
-          ok = (image == t);
-        } else if (TryBind(p, t)) {
-          newly_bound.emplace_back(p, t);
-        } else {
-          ok = false;
-        }
-      }
-      if (ok) {
-        if (stats_on_) ++depth_slots_[depth]->tuples_matched;
-        Recurse(depth + 1);
-      } else {
-        ++backtracks_;
-      }
-      for (auto it = newly_bound.rbegin(); it != newly_bound.rend(); ++it) {
-        Unbind(it->first, it->second);
-      }
-      if (stopped_) return;
-    }
-  }
-
-  const std::vector<Atom>& pattern_;
-  const Instance& target_;
-  const HomSearchOptions& options_;
-  const std::function<bool(const Substitution&)>& callback_;
-
-  std::vector<size_t> order_;
-  const std::vector<uint32_t>* root_slice_ = nullptr;
-  bool quiet_ = false;  // chunk mode: driver owns telemetry
-  // Access-path stats: the gate is sampled once per search (one relaxed
-  // load), so the disabled inner loop pays a predictable branch only.
-  const bool stats_on_ = obs::stats::Enabled();
-  obs::stats::SearchStats stats_;
-  std::vector<obs::stats::RelationAccess*> depth_slots_;
-  RelationId root_relation_ = 0;
-  bool root_indexed_ = false;
-  std::unordered_map<Term, Term, TermHash> binding_;
-  std::unordered_set<Term, TermHash> used_images_;
-  size_t results_ = 0;
-  uint64_t candidates_tried_ = 0;
-  uint64_t backtracks_ = 0;
-  bool stopped_ = false;
-  bool truncated_ = false;  // stopped by max_results, not by the caller
-};
-
-// Code-space matcher over the columnar snapshot: the same backtracking
-// join as Matcher, but the pattern is compiled once into dictionary
-// codes and slot indices, candidate selection walks per-(position,
-// code) postings lists, and unification compares uint32 codes instead
-// of Terms — an index-nested-loop join that never touches Atom storage
-// until results are decoded. Enumeration order, access-path stats,
-// pulse cadence, and truncation semantics mirror Matcher exactly
-// (postings lists hold local rows in insertion order, which is the
-// order AtomsWith enumerates); tests/columnar_diff_test.cc holds the
-// two layouts to byte-identical output.
-class ColumnarMatcher {
- public:
-  static constexpr bool kColumnar = true;
-  static void Warm(const Instance& target) { target.WarmColumnar(); }
-
-  ColumnarMatcher(const std::vector<Atom>& pattern, const Instance& target,
-                  const HomSearchOptions& options,
-                  const std::function<bool(const Substitution&)>& callback)
-      : pattern_(pattern),
-        columnar_(target.Columnar()),
-        options_(options),
-        callback_(callback) {
-    Compile();
-  }
-
-  void Run() {
-    if (!SeedFixed()) {
-      FlushCounters();
-      FlushStats();
-      return;
-    }
-    order_ = ChooseOrder();
-    BuildDepthSlots();
-    Recurse(0);
-    FlushCounters();
-    FlushStats();
-  }
-
-  // Chunk-mode entry points; see Matcher::PlanRoot/RunChunk. The root
-  // lists hold *local* rows of the root relation (the columnar analogue
-  // of global atom indices) — opaque to the parallel driver, which only
-  // slices and hands them back.
-  bool PlanRoot(std::vector<uint32_t>* roots) {
-    quiet_ = true;
-    if (!SeedFixed()) return false;
-    order_ = ChooseOrder();
-    *roots = *CandidatesFor(0, &root_indexed_);
-    root_relation_ = compiled_[order_[0]].rel;
-    return true;
-  }
-
-  void RunChunk(const std::vector<uint32_t>& root_slice) {
-    quiet_ = true;
-    if (!SeedFixed()) return;
-    order_ = ChooseOrder();
-    BuildDepthSlots();
-    root_slice_ = &root_slice;
-    Recurse(0);
-  }
-
-  uint64_t candidates_tried() const { return candidates_tried_; }
-  uint64_t backtracks() const { return backtracks_; }
-  size_t results() const { return results_; }
-  bool truncated() const { return truncated_; }
-  RelationId root_relation() const { return root_relation_; }
-  bool root_indexed() const { return root_indexed_; }
   obs::stats::SearchStats TakeRelationStats() { return std::move(stats_); }
 
  private:
@@ -536,6 +191,8 @@ class ColumnarMatcher {
     slot_values_.assign(slot_terms_.size(), kUnbound);
   }
 
+  // Seeds bindings from options.fixed for placeholders occurring in the
+  // pattern; false when a seed is inadmissible (no results possible).
   bool SeedFixed() {
     for (const Atom& a : pattern_) {
       for (Term t : a.args()) {
@@ -551,11 +208,17 @@ class ColumnarMatcher {
     return true;
   }
 
+  // Local tallies are kept unconditionally (an increment is noise next to
+  // the per-candidate work) and flushed to the registry only when
+  // observability is on, so the disabled path stays counter-free.
   void FlushCounters() const {
     FlushSearchCounters(candidates_tried_, backtracks_, results_,
                         truncated_);
   }
 
+  // Per-depth slots into stats_.relations, resolved once per search so
+  // the inner loop pays plain increments when stats are on (std::map
+  // nodes are stable, so the pointers survive later insertions).
   void BuildDepthSlots() {
     if (!stats_on_) return;
     depth_slots_.resize(order_.size());
@@ -564,10 +227,11 @@ class ColumnarMatcher {
     }
   }
 
+  // One logical (non-chunked) search's access-path stats: merged into
+  // the thread's sink and the `stats.*` registry families.
   void FlushStats() {
     if (!stats_on_ || quiet_) return;
     stats_.searches = 1;
-    stats_.columnar_searches = 1;
     stats_.candidates_tried = candidates_tried_;
     stats_.backtracks = backtracks_;
     stats_.results = results_;
@@ -575,6 +239,12 @@ class ColumnarMatcher {
     obs::stats::RecordSearch(stats_);
   }
 
+  // Rare-path pulse: progress work units and, even less often, a search
+  // milestone event. Called every 2^16 candidates. Chunk matchers keep
+  // the progress pulse (the watchdog must see parallel work) but skip
+  // the milestone — a per-chunk candidate count is not the sequential
+  // search's cadence, and emitting it would make event streams depend
+  // on the chunking.
   void Pulse() const {
     if (obs::ProgressActive()) obs::NoteWork(1u << 16);
     if (!quiet_ && obs::EventsEnabled() &&
@@ -585,6 +255,7 @@ class ColumnarMatcher {
     }
   }
 
+  // Binds slot -> image if admissible; returns whether it bound.
   bool TryBindSlot(uint32_t slot, uint32_t image) {
     if (options_.nulls_to_nulls && slot_terms_[slot].is_null() &&
         !TermForCode(image).is_null()) {
@@ -601,32 +272,62 @@ class ColumnarMatcher {
     slot_values_[slot] = kUnbound;
   }
 
+  // Greedy static atom order: repeatedly pick the atom with the most
+  // arguments that are fixed codes or already-bound slots (fixed seeds
+  // count as bound). The greedy selection is quadratic in the pattern
+  // size, so very large patterns (e.g. whole-instance containment checks)
+  // keep insertion order -- their atoms are mostly ground and candidate
+  // lists are index-driven anyway. Chunk matchers seed the same slots as
+  // the sequential search, so every chunk explores in the same order.
   std::vector<size_t> ChooseOrder() const {
-    std::unordered_set<Term, TermHash> bound;
-    for (size_t i = 0; i < slot_terms_.size(); ++i) {
-      if (slot_values_[i] != kUnbound) bound.insert(slot_terms_[i]);
+    std::vector<size_t> order(compiled_.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    if (compiled_.size() > 192) return order;
+    order.clear();
+    std::vector<bool> seen(slot_values_.size());
+    for (size_t slot = 0; slot < seen.size(); ++slot) {
+      seen[slot] = slot_values_[slot] != kUnbound;
     }
-    return ChooseAtomOrder(pattern_, options_.map_nulls, bound);
+    std::vector<bool> chosen(compiled_.size(), false);
+    for (size_t step = 0; step < compiled_.size(); ++step) {
+      size_t best = 0;
+      int best_score = -1;
+      for (size_t i = 0; i < compiled_.size(); ++i) {
+        if (chosen[i]) continue;
+        int score = 0;
+        for (const ArgRef arg : compiled_[i].args) {
+          if (!arg.is_slot || seen[arg.value]) ++score;
+        }
+        if (score > best_score) {
+          best_score = score;
+          best = i;
+        }
+      }
+      chosen[best] = true;
+      order.push_back(best);
+      for (const ArgRef arg : compiled_[best].args) {
+        if (arg.is_slot) seen[arg.value] = true;
+      }
+    }
+    return order;
   }
 
-  // Tightest postings list among bound argument positions (every bound
-  // position is probed, same attribution as the row path), else the
-  // whole relation.
+  // Candidate rows for the atom at order_[depth]: the tightest postings
+  // list among bound argument positions (every bound position is probed),
+  // else the whole relation. *indexed reports which access path won.
   const std::vector<uint32_t>* CandidatesFor(size_t depth,
                                              bool* indexed) const {
     const CompiledAtom& atom = compiled_[order_[depth]];
     const std::vector<uint32_t>* candidates = nullptr;
-    if (options_.use_index) {
-      for (uint32_t pos = 0; pos < atom.arity; ++pos) {
-        const ArgRef arg = atom.args[pos];
-        const uint32_t image =
-            arg.is_slot ? slot_values_[arg.value] : arg.value;
-        if (image == kUnbound) continue;
-        const std::vector<uint32_t>& list =
-            columnar_.Probe(atom.rel, pos, image);
-        if (candidates == nullptr || list.size() < candidates->size()) {
-          candidates = &list;
-        }
+    for (uint32_t pos = 0; pos < atom.arity; ++pos) {
+      const ArgRef arg = atom.args[pos];
+      const uint32_t image =
+          arg.is_slot ? slot_values_[arg.value] : arg.value;
+      if (image == kUnbound) continue;
+      const std::vector<uint32_t>& list =
+          columnar_.Probe(atom.rel, pos, image);
+      if (candidates == nullptr || list.size() < candidates->size()) {
+        candidates = &list;
       }
     }
     *indexed = candidates != nullptr;
@@ -645,6 +346,8 @@ class ColumnarMatcher {
       if (!callback_(result)) {
         stopped_ = true;  // caller asked to stop; not a truncation
       } else if (results_ >= options_.max_results) {
+        // Silent cutoff made visible: the caller sees max_results homs
+        // and has no way to tell "that's all" from "that's the cap".
         stopped_ = true;
         truncated_ = true;
       }
@@ -654,6 +357,9 @@ class ColumnarMatcher {
     const std::vector<uint32_t>* candidates;
     if (depth == 0 && root_slice_ != nullptr) {
       candidates = root_slice_;
+      // Chunk mode: the driver records the root list acquisition once;
+      // each chunk accounts only the candidates its slice feeds it, so
+      // slice-order merging reproduces the sequential scan counts.
       if (stats_on_) depth_slots_[0]->tuples_scanned += candidates->size();
     } else {
       bool indexed = false;
@@ -672,12 +378,17 @@ class ColumnarMatcher {
       ++candidates_tried_;
       if ((candidates_tried_ & 0xFFFF) == 0) {
         Pulse();
+        // Deadline/cancellation at pulse cadence. Stopping here is a
+        // truncation: everything emitted so far is a genuine hom, some
+        // may be missing — exactly the max_results contract.
         if (options_.context != nullptr &&
             options_.context->Check() != resilience::StopCause::kNone) {
           stopped_ = true;
           truncated_ = true;
           return;
         }
+        // Shared cross-search work budget: draw the next batch of
+        // candidates; a dry pool also truncates.
         if (options_.shared_budget != nullptr &&
             !options_.shared_budget->TryConsume(
                 obs::SharedBudget::kBatch)) {
@@ -733,7 +444,9 @@ class ColumnarMatcher {
 
   std::vector<size_t> order_;
   const std::vector<uint32_t>* root_slice_ = nullptr;
-  bool quiet_ = false;
+  bool quiet_ = false;  // chunk mode: driver owns telemetry
+  // Access-path stats: the gate is sampled once per search (one relaxed
+  // load), so the disabled inner loop pays a predictable branch only.
   const bool stats_on_ = obs::stats::Enabled();
   obs::stats::SearchStats stats_;
   std::vector<obs::stats::RelationAccess*> depth_slots_;
@@ -744,7 +457,7 @@ class ColumnarMatcher {
   uint64_t candidates_tried_ = 0;
   uint64_t backtracks_ = 0;
   bool stopped_ = false;
-  bool truncated_ = false;
+  bool truncated_ = false;  // stopped by max_results, not by the caller
 };
 
 // Fans the search out over contiguous slices of the root candidate
@@ -754,9 +467,7 @@ class ColumnarMatcher {
 // sequential result list byte for byte — regardless of the chunk count,
 // which is why it may depend on the thread count. Only the internal
 // work tallies (candidates tried past a cap) can differ, and only on
-// truncated searches. Parameterized over the matcher (row or columnar);
-// root candidate lists are opaque to the driver — it only slices them.
-template <typename M>
+// truncated searches.
 HomSearchResult SearchParallel(const std::vector<Atom>& pattern,
                                const Instance& target,
                                const HomSearchOptions& options,
@@ -780,7 +491,7 @@ HomSearchResult SearchParallel(const std::vector<Atom>& pattern,
     obs::stats::SearchStats stats;  // per-relation rows only
   };
   std::vector<ChunkResult> chunks(num_chunks);
-  M::Warm(target);  // concurrent readers need the shared structure built
+  target.WarmColumnar();  // concurrent readers need the snapshot built
   {
     util::TaskGroup group(pool, options.context);
     for (size_t c = 0; c < num_chunks; ++c) {
@@ -791,7 +502,7 @@ HomSearchResult SearchParallel(const std::vector<Atom>& pattern,
               chunk.homs.push_back(h);
               return true;
             };
-        M matcher(pattern, target, options, collect);
+        ColumnarMatcher matcher(pattern, target, options, collect);
         matcher.RunChunk(slices[c]);
         chunk.candidates_tried = matcher.candidates_tried();
         chunk.backtracks = matcher.backtracks();
@@ -828,7 +539,6 @@ HomSearchResult SearchParallel(const std::vector<Atom>& pattern,
     obs::stats::SearchStats agg;
     for (ChunkResult& chunk : chunks) agg.Merge(chunk.stats);
     agg.searches = 1;
-    agg.columnar_searches = M::kColumnar ? 1 : 0;
     agg.candidates_tried = candidates_tried;
     agg.backtracks = backtracks;
     agg.results = out.homs.size();
@@ -841,24 +551,33 @@ HomSearchResult SearchParallel(const std::vector<Atom>& pattern,
   return out;
 }
 
-// The checked entry point, parameterized over the matcher: probe the
-// root candidate list, fan out when it is large enough, else run the
-// plain sequential search.
-template <typename M>
-HomSearchResult FindHomomorphismsCheckedT(const std::vector<Atom>& pattern,
-                                          const Instance& target,
-                                          const HomSearchOptions& options) {
+}  // namespace
+
+void ForEachHomomorphism(
+    const std::vector<Atom>& pattern, const Instance& target,
+    const HomSearchOptions& options,
+    const std::function<bool(const Substitution&)>& callback) {
+  obs::alloc::AllocScope alloc_scope("hom_search");
+  ColumnarMatcher(pattern, target, options, callback).Run();
+}
+
+// Probes the root candidate list, fans out when it is large enough, else
+// runs the plain sequential search.
+HomSearchResult FindHomomorphismsChecked(const std::vector<Atom>& pattern,
+                                         const Instance& target,
+                                         const HomSearchOptions& options) {
+  obs::alloc::AllocScope alloc_scope("hom_search");
   const std::function<bool(const Substitution&)> no_op =
       [](const Substitution&) { return true; };
   if (options.pool != nullptr && options.pool->num_threads() > 0 &&
       !pattern.empty()) {
     // Probe: seed + order + root candidate list, no search yet.
     std::vector<uint32_t> roots;
-    M probe(pattern, target, options, no_op);
+    ColumnarMatcher probe(pattern, target, options, no_op);
     if (probe.PlanRoot(&roots) &&
         roots.size() >= options.parallel_min_candidates) {
-      return SearchParallel<M>(pattern, target, options, roots,
-                               probe.root_relation(), probe.root_indexed());
+      return SearchParallel(pattern, target, options, roots,
+                            probe.root_relation(), probe.root_indexed());
     }
     // Conflicting seed or a small root set: fall through to the
     // sequential search (which redoes the cheap seeding).
@@ -869,35 +588,10 @@ HomSearchResult FindHomomorphismsCheckedT(const std::vector<Atom>& pattern,
         out.homs.push_back(h);
         return true;
       };
-  M matcher(pattern, target, options, collect);
+  ColumnarMatcher matcher(pattern, target, options, collect);
   matcher.Run();
   out.truncated = matcher.truncated();
   return out;
-}
-
-}  // namespace
-
-void ForEachHomomorphism(
-    const std::vector<Atom>& pattern, const Instance& target,
-    const HomSearchOptions& options,
-    const std::function<bool(const Substitution&)>& callback) {
-  obs::alloc::AllocScope alloc_scope("hom_search");
-  if (options.layout == InstanceLayout::kColumnar) {
-    ColumnarMatcher(pattern, target, options, callback).Run();
-  } else {
-    Matcher(pattern, target, options, callback).Run();
-  }
-}
-
-HomSearchResult FindHomomorphismsChecked(const std::vector<Atom>& pattern,
-                                         const Instance& target,
-                                         const HomSearchOptions& options) {
-  obs::alloc::AllocScope alloc_scope("hom_search");
-  if (options.layout == InstanceLayout::kColumnar) {
-    return FindHomomorphismsCheckedT<ColumnarMatcher>(pattern, target,
-                                                      options);
-  }
-  return FindHomomorphismsCheckedT<Matcher>(pattern, target, options);
 }
 
 std::vector<Substitution> FindHomomorphisms(const std::vector<Atom>& pattern,
@@ -918,23 +612,26 @@ std::optional<Substitution> FindHomomorphism(
   return out;
 }
 
-bool HasInstanceHomomorphism(const Instance& from, const Instance& to,
-                             InstanceLayout layout) {
-  return FindInstanceHomomorphism(from, to, layout).has_value();
+bool HasInstanceHomomorphism(const Instance& from, const Instance& to) {
+  return FindInstanceHomomorphism(from, to).has_value();
 }
 
 std::optional<Substitution> FindInstanceHomomorphism(const Instance& from,
-                                                     const Instance& to,
-                                                     InstanceLayout layout) {
+                                                     const Instance& to) {
   HomSearchOptions options;
   options.map_nulls = true;
-  options.layout = layout;
   return FindHomomorphism(from.atoms(), to, options);
 }
 
 std::optional<Substitution> FindIsomorphism(const Instance& a,
                                             const Instance& b) {
   if (a.size() != b.size()) return std::nullopt;
+  // Constants are fixed and nulls map to nulls, so every ground atom of
+  // `a` maps to itself: most non-isomorphic pairs (e.g. the recovery
+  // dedup's) fail here without a search.
+  for (const Atom& atom : a.atoms()) {
+    if (atom.IsGround() && !b.Contains(atom)) return std::nullopt;
+  }
   HomSearchOptions options;
   options.map_nulls = true;
   options.injective = true;

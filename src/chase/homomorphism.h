@@ -1,7 +1,9 @@
 // Homomorphism search (paper, Sec. 2): mappings h, identity on constants,
 // with h(pattern) contained in a target instance. This single backtracking
-// engine drives chase triggers, HOM(Sigma, J), query evaluation, the
-// recovery checks, and instance-level homomorphism / isomorphism tests.
+// engine, running in dictionary-code space over the target's columnar
+// snapshot (relational/columnar.h), drives chase triggers, HOM(Sigma, J),
+// query evaluation, the recovery checks, and instance-level homomorphism /
+// isomorphism tests.
 #ifndef DXREC_CHASE_HOMOMORPHISM_H_
 #define DXREC_CHASE_HOMOMORPHISM_H_
 
@@ -43,10 +45,6 @@ struct HomSearchOptions {
   size_t max_results = static_cast<size_t>(-1);
   // Pre-bound placeholder images, e.g. "identity on dom(J)" constraints.
   Substitution fixed;
-  // Use the (relation, position, term) inverted index for candidate
-  // selection. Disabling falls back to scanning whole relations; exposed
-  // for the index-ablation benchmark (bench_e8).
-  bool use_index = true;
   // Optional deadline/cancellation, evaluated at the matcher's pulse
   // cadence (every 2^16 candidates). A trip stops the search as a
   // truncation (the partial result set is still sound). Not owned.
@@ -61,14 +59,9 @@ struct HomSearchOptions {
   // Optional cross-search work budget, drawn in kBatch units at the
   // pulse cadence; running dry truncates the search. Not owned.
   obs::SharedBudget* shared_budget = nullptr;
-  // Physical representation the search runs against. kRow backtracks
-  // over materialized Atom vectors via the inverted index; kColumnar
-  // runs the same join entirely in dictionary-code space over the
-  // instance's columnar snapshot (Instance::Columnar()). Both layouts
-  // enumerate identical results in identical order with identical
-  // access-path attribution; the row path stays in-tree one release as
-  // the differential-testing oracle (tests/columnar_diff_test.cc).
-  InstanceLayout layout = InstanceLayout::kRow;
+  // Ignored; every search runs on the columnar snapshot. Stays only until
+  // the benchmark harness (dxrec-bench/layers.cc) stops setting it.
+  InstanceLayout layout = InstanceLayout::kColumnar;
 };
 
 // Result set plus an honest completeness bit: `truncated` is set when
@@ -107,11 +100,9 @@ void ForEachHomomorphism(
 
 // Instance-level homomorphism I -> J (nulls of I as placeholders,
 // constants fixed). The paper's notation I "arrow" J.
-bool HasInstanceHomomorphism(const Instance& from, const Instance& to,
-                             InstanceLayout layout = InstanceLayout::kRow);
-std::optional<Substitution> FindInstanceHomomorphism(
-    const Instance& from, const Instance& to,
-    InstanceLayout layout = InstanceLayout::kRow);
+bool HasInstanceHomomorphism(const Instance& from, const Instance& to);
+std::optional<Substitution> FindInstanceHomomorphism(const Instance& from,
+                                                     const Instance& to);
 
 // Instance isomorphism: a bijective null renaming taking `a` onto `b`.
 std::optional<Substitution> FindIsomorphism(const Instance& a,

@@ -8,8 +8,7 @@ namespace {
 
 // If some atom of `input` is removable (a homomorphism into the instance
 // without it exists), returns the retracted image; otherwise nullopt.
-std::optional<Instance> RetractOnce(const Instance& input,
-                                    InstanceLayout layout) {
+std::optional<Instance> RetractOnce(const Instance& input) {
   for (const Atom& atom : input.atoms()) {
     // A ground atom always maps to itself, so it can never be dropped.
     if (atom.IsGround()) continue;
@@ -18,7 +17,7 @@ std::optional<Instance> RetractOnce(const Instance& input,
       if (!(other == atom)) without.Add(other);
     }
     std::optional<Substitution> h =
-        FindInstanceHomomorphism(input, without, layout);
+        FindInstanceHomomorphism(input, without);
     if (h.has_value()) {
       // Apply the full retraction, which may drop more than one atom.
       return input.Apply(*h);
@@ -29,17 +28,17 @@ std::optional<Instance> RetractOnce(const Instance& input,
 
 }  // namespace
 
-Instance ComputeCore(const Instance& input, InstanceLayout layout) {
+Instance ComputeCore(const Instance& input) {
   Instance current = input;
   while (true) {
-    std::optional<Instance> retracted = RetractOnce(current, layout);
+    std::optional<Instance> retracted = RetractOnce(current);
     if (!retracted.has_value()) return current;
     current = std::move(*retracted);
   }
 }
 
-bool IsCore(const Instance& input, InstanceLayout layout) {
-  return !RetractOnce(input, layout).has_value();
+bool IsCore(const Instance& input) {
+  return !RetractOnce(input).has_value();
 }
 
 }  // namespace dxrec

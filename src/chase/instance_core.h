@@ -14,19 +14,15 @@
 #ifndef DXREC_CHASE_INSTANCE_CORE_H_
 #define DXREC_CHASE_INSTANCE_CORE_H_
 
-#include "relational/columnar.h"
 #include "relational/instance.h"
 
 namespace dxrec {
 
-// The core of `input`. Ground instances are their own cores. `layout`
-// picks the physical representation the retraction searches run against.
-Instance ComputeCore(const Instance& input,
-                     InstanceLayout layout = InstanceLayout::kRow);
+// The core of `input`. Ground instances are their own cores.
+Instance ComputeCore(const Instance& input);
 
 // True if `input` equals its core (no proper retraction exists).
-bool IsCore(const Instance& input,
-            InstanceLayout layout = InstanceLayout::kRow);
+bool IsCore(const Instance& input);
 
 }  // namespace dxrec
 

@@ -25,7 +25,7 @@ Result<AnswerSet> CertainAnswers(const UnionQuery& query,
   span.AddArg("recoveries",
               static_cast<int64_t>(inverse->recoveries.size()));
   obs::Span intersect_span("certain_intersect");
-  return CertainAnswersOver(query, inverse->recoveries, options.layout);
+  return CertainAnswersOver(query, inverse->recoveries);
 }
 
 Result<AnswerSet> CertainAnswers(const ConjunctiveQuery& query,

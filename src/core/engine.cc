@@ -50,7 +50,6 @@ InverseChaseOptions EngineOptions::ToInverseChaseOptions(
   o.pool = pool;
   o.parallel_min_candidates = parallel.min_root_candidates;
   o.context = context;
-  o.layout = algorithms.layout;
   return o;
 }
 

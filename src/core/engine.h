@@ -111,13 +111,6 @@ struct AlgorithmOptions {
   // Extension: filter covers by SUB(Sigma) inside the sub-universal
   // instance construction (Sec. 6.2 open problem).
   bool subuniversal_sub_filter = false;
-  // Physical instance layout for every homomorphism search the pipeline
-  // runs (relational/columnar.h). kColumnar (the default) uses the
-  // dictionary-encoded column store with per-position postings indexes;
-  // kRow is the original row-major path, kept in-tree one release as the
-  // differential-testing oracle. Both layouts produce byte-identical
-  // results at any thread count (docs/STORAGE.md).
-  InstanceLayout layout = InstanceLayout::kColumnar;
 };
 
 // Worker-pool sizing (util/thread_pool.h). The engine owns one pool for
@@ -193,10 +186,6 @@ struct EngineOptions {
   }
   EngineOptions& WithMinimalCoversOnly(bool on = true) {
     algorithms.minimal_covers_only = on;
-    return *this;
-  }
-  EngineOptions& WithLayout(InstanceLayout layout) {
-    algorithms.layout = layout;
     return *this;
   }
   EngineOptions& WithObs(obs::ObsOptions o) {

@@ -16,14 +16,10 @@ std::string HeadHom::ToString(const DependencySet& sigma) const {
 }
 
 std::vector<HeadHom> ComputeHomSet(const DependencySet& sigma,
-                                   const Instance& target,
-                                   InstanceLayout layout) {
+                                   const Instance& target, InstanceLayout) {
   std::vector<HeadHom> out;
-  HomSearchOptions options;
-  options.layout = layout;
   for (TgdId id = 0; id < sigma.size(); ++id) {
-    for (Substitution& h :
-         FindHomomorphisms(sigma.at(id).head(), target, options)) {
+    for (Substitution& h : FindHomomorphisms(sigma.at(id).head(), target)) {
       out.push_back(HeadHom{id, std::move(h)});
     }
   }

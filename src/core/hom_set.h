@@ -18,6 +18,7 @@
 #include "base/substitution.h"
 #include "chase/chase.h"
 #include "logic/dependency_set.h"
+#include "relational/columnar.h"
 #include "relational/instance.h"
 
 namespace dxrec {
@@ -40,12 +41,12 @@ struct HeadHom {
   }
 };
 
-// HOM(Sigma, J), grouped in tgd order; within a tgd, search order.
-// `layout` picks the physical representation the head-matching searches
-// run against (relational/columnar.h).
+// HOM(Sigma, J), grouped in tgd order; within a tgd, search order. The
+// trailing InstanceLayout is ignored; it stays only until
+// dxrec-bench/layers.cc stops passing it.
 std::vector<HeadHom> ComputeHomSet(
     const DependencySet& sigma, const Instance& target,
-    InstanceLayout layout = InstanceLayout::kRow);
+    InstanceLayout = InstanceLayout::kColumnar);
 
 // I_h = Chase_{h}(Sigma^{-1}, J): the source atoms generated by firing
 // just this head-homomorphism on the reversed tgd. Body-only variables of

@@ -37,8 +37,7 @@ HomSearchResult BackHomomorphisms(const Instance& chased,
                                   const resilience::ExecutionContext* context,
                                   util::ThreadPool* pool,
                                   size_t parallel_min_candidates,
-                                  obs::SharedBudget* shared_budget,
-                                  InstanceLayout layout) {
+                                  obs::SharedBudget* shared_budget) {
   HomSearchOptions options;
   options.map_nulls = true;
   options.max_results = max_results;
@@ -46,7 +45,6 @@ HomSearchResult BackHomomorphisms(const Instance& chased,
   options.pool = pool;
   options.parallel_min_candidates = parallel_min_candidates;
   options.shared_budget = shared_budget;
-  options.layout = layout;
   for (Term t : target.TermsOfKind(TermKind::kNull)) {
     options.fixed.Set(t, t);
   }
@@ -209,7 +207,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     obs::Span span("step5_forward_chase");
     obs::stats::ScopedChase chase_scope(stats_on ? &cstats.forward_chase
                                                  : nullptr);
-    chased = Chase(sigma, source, nulls, options.context, options.layout);
+    chased = Chase(sigma, source, nulls, options.context);
     cstats.chased_atoms = chased.size();
     span.AddArg("chased_atoms", static_cast<int64_t>(chased.size()));
   }
@@ -224,8 +222,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     HomSearchResult search =
         BackHomomorphisms(chased, target, options.max_g_homs_per_cover,
                           options.context, pool,
-                          options.parallel_min_candidates, shared_budget,
-                          options.layout);
+                          options.parallel_min_candidates, shared_budget);
     gs = std::move(search.homs);
     if (search.truncated) {
       // Attribute the early stop: a tripped context is an interrupt (it
@@ -291,7 +288,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
       Instance recovery = source.Apply(g);
       if (options.core_recoveries) {
         size_t before = recovery.size();
-        recovery = ComputeCore(recovery, options.layout);
+        recovery = ComputeCore(recovery);
         if (obs::EventsEnabled() && recovery.size() != before) {
           obs::Emit("recovery.cored",
                     {{"cover", static_cast<int64_t>(cover_index)},
@@ -300,12 +297,10 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
         }
       }
       slice.num_candidates++;
-      bool is_recovery =
-          IsMinimalSolution(sigma, recovery, target, options.layout);
+      bool is_recovery = IsMinimalSolution(sigma, recovery, target);
       if (!is_recovery && !target_ground) {
         JustificationOptions justification;
         justification.context = options.context;
-        justification.layout = options.layout;
         Result<bool> justified =
             IsJustifiedSolution(sigma, recovery, target, justification);
         if (justified.ok()) {
@@ -468,7 +463,6 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
   const bool stats_on = obs::stats::Enabled();
   obs::stats::RunStats run_stats;
   run_stats.valid = stats_on;
-  run_stats.layout = InstanceLayoutName(options.layout);
   run_stats.target_atoms = target.size();
   Stopwatch total_sw;
   Stopwatch phase_sw;
@@ -491,7 +485,7 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     obs::Span span("step1_hom_enum");
     obs::stats::ScopedSearch hom_scope(stats_on ? &run_stats.hom_enum
                                                 : nullptr);
-    homs = ComputeHomSet(sigma, target, options.layout);
+    homs = ComputeHomSet(sigma, target);
     span.AddArg("homs", static_cast<int64_t>(homs.size()));
   }
   run_stats.num_homs = homs.size();
@@ -603,12 +597,9 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
                                    options, nullptr, shared);
       }
     } else {
-      // Concurrent readers need the shared read-only structures
-      // pre-built (the lazy builds are the only const-path mutations).
-      target.WarmIndex();
-      if (options.layout == InstanceLayout::kColumnar) {
-        target.WarmColumnar();
-      }
+      // Concurrent readers need the columnar snapshot pre-built (the
+      // lazy build is the only const-path mutation).
+      target.WarmColumnar();
       util::TaskGroup group(pool, options.context);
       for (size_t i = 0; i < covers.size(); ++i) {
         group.Run([&sigma, &target, &homs, &covers, &sub, &options,

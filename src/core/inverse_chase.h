@@ -31,7 +31,6 @@
 #include "core/hom_set.h"
 #include "core/subsumption.h"
 #include "logic/dependency_set.h"
-#include "relational/columnar.h"
 #include "relational/instance.h"
 
 namespace dxrec {
@@ -88,12 +87,6 @@ struct InverseChaseOptions {
   // threaded into every budgeted sub-search and checked at the pipeline's
   // phase and per-cover boundaries. Not owned; must outlive the call.
   const resilience::ExecutionContext* context = nullptr;
-  // Physical layout every hom-search in the pipeline runs against
-  // (steps 1, 5, 6 and the step-7 verification; relational/columnar.h).
-  // Either layout yields byte-identical recoveries; the engine defaults
-  // to columnar, while these legacy free functions stay on the row
-  // oracle.
-  InstanceLayout layout = InstanceLayout::kRow;
 };
 
 // Provenance of one recovered source atom.

@@ -16,7 +16,7 @@ bool SatisfiesPair(const DependencySet& sigma, const Instance& source,
 }
 
 bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
-                       const Instance& target, InstanceLayout layout) {
+                       const Instance& target, InstanceLayout) {
   // J is minimal iff removing any single tuple breaks satisfaction
   // (satisfaction is monotone in the target). Equivalently: a tuple t is
   // non-removable iff some trigger's head matches *all* contain t, so J
@@ -27,14 +27,11 @@ bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
   for (TgdId id = 0; id < sigma.size(); ++id) {
     const Tgd& tgd = sigma.at(id);
     bool all_triggers_satisfied = true;
-    HomSearchOptions body_options;
-    body_options.layout = layout;
     ForEachHomomorphism(
-        tgd.body(), source, body_options,
+        tgd.body(), source, HomSearchOptions(),
         [&](const Substitution& h) {
           HomSearchOptions head_options;
           head_options.fixed = h;
-          head_options.layout = layout;
           bool first = true;
           std::unordered_set<Atom, AtomHash> common;
           ForEachHomomorphism(
@@ -102,16 +99,15 @@ Result<bool> IsJustifiedSolution(const DependencySet& sigma,
                                  const Instance& source,
                                  const Instance& target,
                                  const JustificationOptions& options) {
-  if (!Satisfies(sigma, source, target, options.layout)) return false;
+  if (!Satisfies(sigma, source, target)) return false;
   // Fast path: if J is itself a minimal solution, it witnesses Def. 2 via
   // the identity homomorphism.
-  if (IsMinimalSolution(sigma, source, target, options.layout)) return true;
+  if (IsMinimalSolution(sigma, source, target)) return true;
   // For a ground J the converse also holds: any minimal M with J -> M has
   // J as a subset, and a tuple removable from J stays removable in every
   // superset, so M >= J minimal forces J minimal. No search needed.
   if (target.IsGround()) return false;
-  Instance chase =
-      Chase(sigma, source, &FreshNulls(), nullptr, options.layout);
+  Instance chase = Chase(sigma, source, &FreshNulls());
 
   // Fresh chase nulls: nulls of the chase result not already in dom(I).
   std::unordered_set<Term, TermHash> source_terms;
@@ -143,8 +139,8 @@ Result<bool> IsJustifiedSolution(const DependencySet& sigma,
         Instance candidate = chase.Apply(e);
         // Every minimal solution equals e(Chase) for some e; check that
         // this candidate is minimal and that J maps into it.
-        if (IsMinimalSolution(sigma, source, candidate, options.layout) &&
-            HasInstanceHomomorphism(target, candidate, options.layout)) {
+        if (IsMinimalSolution(sigma, source, candidate) &&
+            HasInstanceHomomorphism(target, candidate)) {
           found = true;
           return false;  // stop
         }

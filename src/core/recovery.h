@@ -35,18 +35,17 @@ struct JustificationOptions {
   // Optional deadline/cancellation, checked at budget tick cadence. Not
   // owned; must outlive the call.
   const resilience::ExecutionContext* context = nullptr;
-  // Physical layout the satisfaction / minimality searches run against.
-  InstanceLayout layout = InstanceLayout::kRow;
 };
 
 // (I, J) |= Sigma. Thin wrapper over chase::Satisfies for discoverability.
 bool SatisfiesPair(const DependencySet& sigma, const Instance& source,
                    const Instance& target);
 
-// Def. 1.
+// Def. 1. The trailing InstanceLayout is ignored; it stays only until
+// dxrec-bench/layers.cc stops passing it.
 bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
                        const Instance& target,
-                       InstanceLayout layout = InstanceLayout::kRow);
+                       InstanceLayout = InstanceLayout::kColumnar);
 
 // Def. 2. ResourceExhausted if the substitution search exceeds budget.
 Result<bool> IsJustifiedSolution(

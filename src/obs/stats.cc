@@ -71,7 +71,6 @@ double RelationAccess::Selectivity() const {
 
 void SearchStats::Merge(const SearchStats& other) {
   searches += other.searches;
-  columnar_searches += other.columnar_searches;
   candidates_tried += other.candidates_tried;
   backtracks += other.backtracks;
   results += other.results;
@@ -283,8 +282,6 @@ void AppendRelationAccessJson(std::string* out, uint32_t rel,
 void AppendSearchJson(std::string* out, const SearchStats& search) {
   out->append("{\"searches\":");
   out->append(U64(search.searches));
-  out->append(",\"columnar_searches\":");
-  out->append(U64(search.columnar_searches));
   out->append(",\"candidates_tried\":");
   out->append(U64(search.candidates_tried));
   out->append(",\"backtracks\":");
@@ -380,9 +377,7 @@ std::string StatsJson() {
     out.append(",\"have_run\":false}");
     return out;
   }
-  out.append(",\"have_run\":true,\"run\":{\"layout\":\"");
-  out.append(JsonEscape(run.layout));
-  out.append("\",\"target_atoms\":");
+  out.append(",\"have_run\":true,\"run\":{\"target_atoms\":");
   out.append(U64(run.target_atoms));
   out.append(",\"sub_constraints\":");
   out.append(U64(run.sub_constraints));
@@ -441,21 +436,11 @@ void AddTreeRow(TextTable* table, bool timing, const std::string& node,
   table->AddRow(std::move(cells));
 }
 
-// Which physical layout served a batch of searches: all columnar, all
-// row, or a mix (e.g. a run whose layout was switched mid-way).
-std::string LayoutTag(uint64_t searches, uint64_t columnar) {
-  if (searches == 0) return "";
-  if (columnar == 0) return " lay=row";
-  if (columnar >= searches) return " lay=col";
-  return " lay=mix";
-}
-
 std::string SearchWork(const SearchStats& s) {
   std::string work = "searches=" + U64(s.searches) +
                      " cand=" + U64(s.candidates_tried) +
                      " bt=" + U64(s.backtracks);
   if (s.truncated > 0) work += " trunc=" + U64(s.truncated);
-  work += LayoutTag(s.searches, s.columnar_searches);
   return work;
 }
 
@@ -476,18 +461,14 @@ void AddChaseRows(TextTable* table, bool timing, const std::string& node,
   RelationAccess totals;
   uint64_t tested = 0;
   uint64_t fired = 0;
-  uint64_t searches = 0;
-  uint64_t columnar = 0;
   for (const DependencyStats& dep : chase.deps) {
     totals.Merge(dep.match.Totals());
     tested += dep.triggers_tested;
     fired += dep.triggers_fired;
-    searches += dep.match.searches;
-    columnar += dep.match.columnar_searches;
   }
   AddTreeRow(table, timing, node,
              "rounds=" + U64(chase.rounds) + " tested=" + U64(tested) +
-                 " fired=" + U64(fired) + LayoutTag(searches, columnar),
+                 " fired=" + U64(fired),
              totals, out, ms);
   for (size_t r = 0; r < chase.round_deltas.size(); ++r) {
     AddTreeRow(table, timing, indent + "round " + U64(r + 1), "",
@@ -512,7 +493,6 @@ std::string RenderExplainAnalyze(const RunStats& run, bool include_timing) {
              " passing_sub=" + U64(run.num_covers_passing_sub) +
              " sub_constraints=" + U64(run.sub_constraints) +
              " recoveries=" + U64(run.recoveries));
-  if (!run.layout.empty()) out.append(" layout=" + run.layout);
   if (include_timing) {
     out.append(" total_ms=" + FormatMs(run.seconds_total));
   }

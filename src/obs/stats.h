@@ -56,7 +56,7 @@ inline bool Enabled() {
 void SetEnabled(bool enabled);
 
 // Work done against one relation's tuple lists during matching.
-//   lists          candidate lists acquired (AtomsFor / AtomsWith calls)
+//   lists          candidate lists acquired (Rows / Probe calls)
 //   indexed_lists  how many of those came from a position index probe
 //   tuples_scanned candidates pulled from those lists (fan-out)
 //   tuples_matched candidates that unified with the pattern atom
@@ -76,11 +76,6 @@ struct RelationAccess {
 // uint32_t here so obs/ stays header-independent of relational/.
 struct SearchStats {
   uint64_t searches = 0;
-  // How many of those searches ran against the columnar layout
-  // (relational/columnar.h). The explain-analyze rendering derives a
-  // row/col/mix tag from this, so the operator tree says which physical
-  // layout served each phase.
-  uint64_t columnar_searches = 0;
   uint64_t candidates_tried = 0;
   uint64_t backtracks = 0;
   uint64_t results = 0;
@@ -144,9 +139,6 @@ struct CoverStats {
 // The per-run operator tree.
 struct RunStats {
   bool valid = false;  // false: stats were disabled during the run
-  // InstanceLayoutName() of the layout the run was configured with
-  // ("row" / "columnar"); empty for pre-layout snapshots.
-  std::string layout;
   uint64_t target_atoms = 0;
   uint64_t sub_constraints = 0;
   SearchStats hom_enum;  // step 1: ComputeHomSet

@@ -16,10 +16,6 @@ const std::vector<uint32_t>& EmptyRowVector() {
 
 }  // namespace
 
-const char* InstanceLayoutName(InstanceLayout layout) {
-  return layout == InstanceLayout::kColumnar ? "columnar" : "row";
-}
-
 uint32_t TermDictionary::Encode(Term t) {
   auto [it, inserted] =
       codes_.try_emplace(t, static_cast<uint32_t>(terms_.size()));

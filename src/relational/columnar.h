@@ -9,17 +9,17 @@
 // of backtracking over materialized Atom vectors (Hyrise's chunked
 // storage / tuple-materialization-free reading is the idiom).
 //
-// Contract with the row layout (docs/STORAGE.md):
+// Contract (docs/STORAGE.md):
 //   - rows are numbered in Instance insertion order per relation, so
-//     postings lists enumerate candidates in exactly the order the row
-//     index (Instance::AtomsWith) does — byte-identical search results;
-//   - access-path attribution mirrors the row path: Probe() counts as a
+//     postings lists enumerate candidates in insertion order and search
+//     results are a function of the instance's insertion order alone;
+//   - access-path attribution: Probe() counts as a
 //     stats.instance.index_probes, Rows() as a stats.instance.full_scans.
 //
 // Snapshots are built lazily by Instance::Columnar() and invalidated on
-// mutation. Like Instance's row index, the lazy build is the only
-// mutation a const read can trigger: call Instance::WarmColumnar() before
-// sharing an instance across threads.
+// mutation. The lazy build is the only mutation a const read can
+// trigger: call Instance::WarmColumnar() before sharing an instance
+// across threads.
 #ifndef DXREC_RELATIONAL_COLUMNAR_H_
 #define DXREC_RELATIONAL_COLUMNAR_H_
 
@@ -34,16 +34,9 @@ namespace dxrec {
 
 class Instance;
 
-// Which physical representation a search/evaluation runs against. The
-// row layout is the seed implementation and stays in-tree for one
-// release as the differential-testing oracle (tests/columnar_diff_test).
-enum class InstanceLayout : uint8_t {
-  kRow = 0,
-  kColumnar = 1,
-};
-
-// "row" / "columnar".
-const char* InstanceLayoutName(InstanceLayout layout);
+// A one-value tag with no effect: columnar is the only layout. It stays
+// only until the benchmark harness (dxrec-bench/layers.cc) drops it.
+enum class InstanceLayout : uint8_t { kColumnar };
 
 // Dense insertion-ordered term codes. Encoding the same term twice
 // yields the same code; Decode(Encode(t)) == t for every term kind,
@@ -74,7 +67,7 @@ class TermDictionary {
 class ColumnarRelation {
  public:
   // Widest arity stored (relations may mix arities; the untyped schema
-  // allows it, and the matcher filters per-row like the row path does).
+  // allows it, and the matcher filters per row).
   uint32_t width() const { return static_cast<uint32_t>(columns_.size()); }
   size_t num_rows() const { return rows_.size(); }
 
@@ -122,7 +115,7 @@ class ColumnarInstance {
   // The relation's columnar storage, or nullptr if it has no tuples.
   const ColumnarRelation* Relation(RelationId rel) const;
 
-  // Access paths, with the same stats attribution as the row layout:
+  // Access paths and their stats attribution:
   // Rows() is a full scan (stats.instance.full_scans), Probe() an index
   // probe (stats.instance.index_probes). Both return local row lists.
   const std::vector<uint32_t>& Rows(RelationId rel) const;

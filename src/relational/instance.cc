@@ -8,7 +8,7 @@
 namespace dxrec {
 
 namespace {
-// Shared empty vector for index misses.
+// Shared empty vector for relation misses.
 const std::vector<uint32_t>& EmptyIndexVector() {
   static const std::vector<uint32_t>& empty = *new std::vector<uint32_t>();
   return empty;
@@ -25,7 +25,7 @@ bool Instance::Add(const Atom& atom) {
   uint32_t idx = static_cast<uint32_t>(atoms_.size());
   atoms_.push_back(atom);
   by_relation_[atom.relation()].push_back(idx);
-  InvalidateIndex();
+  columnar_.reset();
   return true;
 }
 
@@ -48,16 +48,6 @@ const std::vector<uint32_t>& Instance::AtomsFor(RelationId rel) const {
   obs::stats::NoteFullScan();
   auto it = by_relation_.find(rel);
   if (it == by_relation_.end()) return EmptyIndexVector();
-  return it->second;
-}
-
-const std::vector<uint32_t>& Instance::AtomsWith(RelationId rel,
-                                                 uint32_t pos,
-                                                 Term term) const {
-  obs::stats::NoteIndexProbe();
-  EnsureIndex();
-  auto it = index_.find(PosKey{rel, pos, term});
-  if (it == index_.end()) return EmptyIndexVector();
   return it->second;
 }
 
@@ -150,24 +140,6 @@ const ColumnarInstance& Instance::Columnar() const {
     columnar_ = std::make_shared<const ColumnarInstance>(*this);
   }
   return *columnar_;
-}
-
-void Instance::InvalidateIndex() {
-  index_valid_ = false;
-  index_.clear();
-  columnar_.reset();
-}
-
-void Instance::EnsureIndex() const {
-  if (index_valid_) return;
-  index_.clear();
-  for (uint32_t i = 0; i < atoms_.size(); ++i) {
-    const Atom& a = atoms_[i];
-    for (uint32_t pos = 0; pos < a.arity(); ++pos) {
-      index_[PosKey{a.relation(), pos, a.arg(pos)}].push_back(i);
-    }
-  }
-  index_valid_ = true;
 }
 
 }  // namespace dxrec

@@ -1,8 +1,9 @@
 // Instances: finite sets of facts over constants and nulls (paper, Sec. 2).
 //
 // Instance keeps insertion order for deterministic iteration, hash-set
-// membership for O(1) dedup, and a lazily built (relation, position, term)
-// inverted index that drives the homomorphism search in chase/homomorphism.
+// membership for O(1) dedup, and a lazily built columnar snapshot
+// (relational/columnar.h) that the homomorphism search in
+// chase/homomorphism runs against.
 #ifndef DXREC_RELATIONAL_INSTANCE_H_
 #define DXREC_RELATIONAL_INSTANCE_H_
 
@@ -47,21 +48,12 @@ class Instance {
   // Indices (into atoms()) of the atoms of relation `rel`.
   const std::vector<uint32_t>& AtomsFor(RelationId rel) const;
 
-  // Indices of atoms of `rel` whose argument at `pos` equals `term`.
-  // Backed by the lazily built inverted index.
-  const std::vector<uint32_t>& AtomsWith(RelationId rel, uint32_t pos,
-                                         Term term) const;
-
-  // Builds the inverted index now. Instances are not thread-safe in
-  // general, but after WarmIndex() concurrent *readers* are safe (the
-  // lazy build is the only mutation a const read can trigger).
-  void WarmIndex() const { EnsureIndex(); }
-
   // The dictionary-encoded column-major snapshot of this instance
   // (relational/columnar.h), built lazily and invalidated on mutation.
-  // Copies of an instance share the snapshot (it is immutable). Like the
-  // row index, the lazy build is the only const-path mutation: call
-  // WarmColumnar() before concurrent readers probe it.
+  // Copies of an instance share the snapshot (it is immutable).
+  // Instances are not thread-safe in general, but the lazy build is the
+  // only mutation a const read can trigger: after WarmColumnar()
+  // concurrent *readers* are safe.
   const ColumnarInstance& Columnar() const;
   void WarmColumnar() const { Columnar(); }
 
@@ -98,32 +90,9 @@ class Instance {
   std::string ToString() const;
 
  private:
-  void InvalidateIndex();
-  void EnsureIndex() const;
-
   std::vector<Atom> atoms_;
   std::unordered_set<Atom, AtomHash> set_;
   std::unordered_map<RelationId, std::vector<uint32_t>> by_relation_;
-
-  // Inverted index: key encodes (relation, position, term).
-  struct PosKey {
-    RelationId rel;
-    uint32_t pos;
-    Term term;
-    friend bool operator==(const PosKey& a, const PosKey& b) {
-      return a.rel == b.rel && a.pos == b.pos && a.term == b.term;
-    }
-  };
-  struct PosKeyHash {
-    size_t operator()(const PosKey& k) const {
-      size_t h = std::hash<uint64_t>()(
-          (static_cast<uint64_t>(k.rel) << 32) | k.pos);
-      return h ^ (TermHash()(k.term) * 0x9e3779b97f4a7c15ull);
-    }
-  };
-  mutable std::unordered_map<PosKey, std::vector<uint32_t>, PosKeyHash>
-      index_;
-  mutable bool index_valid_ = false;
   // Lazily built columnar snapshot; shared (immutable) across copies.
   mutable std::shared_ptr<const ColumnarInstance> columnar_;
 };

@@ -134,6 +134,16 @@ TEST(Fresh, NullSourceNeverRepeats) {
   }
 }
 
+// The last usable label is 0xfffffffe; the next one would be Term's
+// invalid-id sentinel, so the source must die rather than hand it out.
+TEST(FreshDeathTest, NullSourceAbortsWhenExhausted) {
+  NullSource source(0xfffffffeu);
+  Term last = source.Fresh();
+  EXPECT_TRUE(last.is_valid());
+  EXPECT_TRUE(last.is_null());
+  EXPECT_DEATH(source.Fresh(), "null label space exhausted");
+}
+
 TEST(Fresh, GlobalSourceAdvances) {
   Term a = FreshNulls().Fresh();
   Term b = FreshNulls().Fresh();

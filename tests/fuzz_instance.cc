@@ -1,14 +1,15 @@
 // libFuzzer harness for the columnar instance core (tentpole satellite;
 // see docs/STORAGE.md). Feeds arbitrary bytes through ParseInstance and,
 // for every instance that parses, checks the columnar snapshot's
-// invariants against the row layout:
+// invariants:
 //
 //   - the term dictionary round-trips every stored term (identity, all
 //     kinds — labeled nulls included);
 //   - every postings list equals the filtered full scan (same rows, same
 //     insertion order);
 //   - a homomorphism search over a pattern generalized from the instance
-//     returns byte-identical results on both layouts.
+//     returns the same set of results as the brute-force oracle
+//     (tests/hom_oracle.h).
 //
 // Any violation aborts, which is what the fuzzer (and the ctest replay
 // over tests/fuzz/instance_corpus) reports as a finding.
@@ -20,11 +21,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "chase/homomorphism.h"
+#include "hom_oracle.h"
 #include "logic/parser.h"
 #include "relational/columnar.h"
 #include "relational/instance.h"
@@ -86,20 +89,26 @@ void CheckSearchEquivalence(const dxrec::Instance& instance) {
     if (pattern.size() >= 2) break;
   }
   if (pattern.empty()) return;
-  auto collect = [&](dxrec::InstanceLayout layout) {
-    dxrec::HomSearchOptions options;
-    options.layout = layout;
-    options.max_results = 256;
-    std::vector<std::string> out;
-    for (const dxrec::Substitution& h :
-         dxrec::FindHomomorphisms(pattern, instance, options)) {
-      out.push_back(h.ToString());
+  // At most 2 pattern atoms over at most 64 atoms: the oracle's full
+  // enumeration stays under 4096 results.
+  const std::set<std::string> expected =
+      dxrec::oracle::AllHoms(pattern, instance);
+  dxrec::HomSearchOptions options;
+  options.max_results = 256;
+  dxrec::HomSearchResult found =
+      dxrec::FindHomomorphismsChecked(pattern, instance, options);
+  std::set<std::string> got;
+  for (const dxrec::Substitution& h : found.homs) got.insert(h.ToString());
+  Check(got.size() == found.homs.size(), "search returned a duplicate");
+  if (found.truncated) {
+    // Capped: a sound subset of exactly max_results homomorphisms.
+    Check(got.size() == options.max_results, "truncated below the cap");
+    for (const std::string& h : got) {
+      Check(expected.count(h) > 0, "search found a non-homomorphism");
     }
-    return out;
-  };
-  Check(collect(dxrec::InstanceLayout::kRow) ==
-            collect(dxrec::InstanceLayout::kColumnar),
-        "row and columnar searches diverged");
+  } else {
+    Check(got == expected, "search and brute-force oracle diverged");
+  }
 }
 
 // Every input must either fail to parse with a clean error Status or

@@ -1,8 +1,7 @@
-// Property tests over random patterns and instances: the row-indexed,
-// row-scan, and columnar homomorphism searches find exactly the same
-// matches (the columnar one in exactly the same order as the row-indexed
-// one — the byte-identical contract of docs/STORAGE.md), and the term
-// dictionary round-trips every term kind without losing identity.
+// Property tests over random patterns and instances: the indexed
+// columnar homomorphism search finds exactly the matches of the
+// brute-force oracle (tests/hom_oracle.h), and the term dictionary
+// round-trips every term kind without losing identity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +11,7 @@
 
 #include "chase/homomorphism.h"
 #include "datagen/random.h"
+#include "hom_oracle.h"
 #include "logic/parser.h"
 #include "relational/columnar.h"
 #include "relational/instance.h"
@@ -21,7 +21,7 @@ namespace {
 
 class HomIndexProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(HomIndexProperty, IndexedEqualsScan) {
+TEST_P(HomIndexProperty, IndexedEqualsOracle) {
   Rng rng(GetParam() * 271 + 9);
   std::string tag = "hip" + std::to_string(GetParam()) + "_";
 
@@ -65,30 +65,24 @@ TEST_P(HomIndexProperty, IndexedEqualsScan) {
     }
   }
 
-  auto collect = [&](bool use_index, InstanceLayout layout) {
-    HomSearchOptions options;
-    options.use_index = use_index;
-    options.layout = layout;
-    std::vector<std::string> out;
-    for (const Substitution& h :
-         FindHomomorphisms(pattern, target, options)) {
-      out.push_back(h.ToString());
-    }
-    return out;
-  };
-  std::vector<std::string> indexed = collect(true, InstanceLayout::kRow);
-  std::vector<std::string> scanned = collect(false, InstanceLayout::kRow);
-  std::vector<std::string> columnar =
-      collect(true, InstanceLayout::kColumnar);
-  // The scan path may enumerate in a different order (no index to pick
-  // candidate lists from), so compare it as a set; the columnar path
-  // must reproduce the indexed row path *in exact order*.
-  EXPECT_EQ(std::set<std::string>(indexed.begin(), indexed.end()),
-            std::set<std::string>(scanned.begin(), scanned.end()));
-  EXPECT_EQ(indexed, columnar) << "columnar order diverged from row index";
-  // The scan knob applies to the columnar layout too (full row-list
-  // walks instead of postings probes) and must not change results.
-  EXPECT_EQ(columnar, collect(false, InstanceLayout::kColumnar));
+  std::vector<Substitution> homs = FindHomomorphisms(pattern, target);
+  std::set<std::string> indexed;
+  for (const Substitution& h : homs) indexed.insert(h.ToString());
+  EXPECT_EQ(indexed.size(), homs.size()) << "duplicate homomorphisms";
+  EXPECT_EQ(indexed, oracle::AllHoms(pattern, target));
+
+  // Option variants the pipeline relies on: injective search (isomorphism
+  // tests) and pre-bound placeholders (step 6 pins dom(J)).
+  HomSearchOptions injective;
+  injective.injective = true;
+  EXPECT_EQ(oracle::MatcherHoms(pattern, target, injective),
+            oracle::AllHoms(pattern, target, injective));
+  if (!vars.empty()) {
+    HomSearchOptions pinned;
+    pinned.fixed.Set(vars.front(), c(0));
+    EXPECT_EQ(oracle::MatcherHoms(pattern, target, pinned),
+              oracle::AllHoms(pattern, target, pinned));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HomIndexProperty,
@@ -181,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarIndexProperty,
                          ::testing::Range<uint64_t>(1, 25));
 
 // Mutation invalidates the snapshot: the next Columnar() call sees the
-// new atoms (same lazy-rebuild contract as the row index).
+// new atoms.
 TEST(ColumnarSnapshot, InvalidatedOnMutation) {
   Instance instance;
   instance.Add(Atom::Make("CsR", {Term::Constant("cs_a")}));

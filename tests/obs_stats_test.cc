@@ -167,11 +167,10 @@ TEST(ObsStats, RunReportStatsSectionSchema) {
   // lines, so prefix/substring checks are exact.
   for (const char* key :
        {"\"enabled\":true", "\"have_run\":true", "\"run\":{",
-        "\"layout\":\"columnar\"", "\"target_atoms\":",
-        "\"sub_constraints\":", "\"num_homs\":", "\"num_covers\":",
+        "\"target_atoms\":", "\"sub_constraints\":", "\"num_homs\":",
+        "\"num_covers\":",
         "\"num_covers_passing_sub\":", "\"recoveries\":",
         "\"seconds_total\":", "\"hom_enum\":{", "\"searches\":",
-        "\"columnar_searches\":",
         "\"candidates_tried\":", "\"backtracks\":", "\"results\":",
         "\"relations\":[", "\"relation\":", "\"lists\":",
         "\"indexed_lists\":", "\"tuples_scanned\":",
@@ -281,39 +280,6 @@ TEST(ObsStats, ExplainAnalyzeTriangleByteIdenticalAcrossThreads) {
 TEST(ObsStats, ExplainAnalyzeEmployeeByteIdenticalAcrossThreads) {
   ExpectRenderThreadInvariant(EmployeeScenario::Sigma(),
                               EmployeeScenario::Target(2, 2, 2));
-}
-
-// Layout attribution: the run header names the layout it ran on, search
-// work lines carry lay= tags, and the JSON layout fields follow the
-// engine's AlgorithmOptions::layout (docs/STORAGE.md).
-TEST(ObsStats, LayoutAttribution) {
-  ScopedStats stats;
-  for (InstanceLayout layout :
-       {InstanceLayout::kRow, InstanceLayout::kColumnar}) {
-    EngineOptions options;
-    options.algorithms.layout = layout;
-    Engine engine(WarehouseSigma(), options);
-    ASSERT_TRUE(engine.Recover(WarehouseTarget()).ok());
-    obs::stats::RunStats run;
-    ASSERT_TRUE(obs::stats::LastRun(&run));
-    EXPECT_EQ(run.layout, InstanceLayoutName(layout));
-    const bool columnar = layout == InstanceLayout::kColumnar;
-    EXPECT_EQ(run.hom_enum.columnar_searches,
-              columnar ? run.hom_enum.searches : 0u);
-    std::string json = obs::stats::StatsJson();
-    EXPECT_NE(json.find(std::string("\"layout\":\"") +
-                        InstanceLayoutName(layout) + "\""),
-              std::string::npos);
-    std::string rendered = obs::stats::RenderExplainAnalyze(run, false);
-    EXPECT_NE(rendered.find(std::string(" layout=") +
-                            InstanceLayoutName(layout)),
-              std::string::npos);
-    EXPECT_NE(rendered.find(columnar ? " lay=col" : " lay=row"),
-              std::string::npos);
-    EXPECT_EQ(rendered.find(columnar ? " lay=row" : " lay=col"),
-              std::string::npos)
-        << "mixed layout tags in a single-layout run";
-  }
 }
 
 // Timing mode adds the ms/alloc columns (contents not asserted — wall
