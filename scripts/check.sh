@@ -265,6 +265,15 @@ if ! grep -q '^dxrec_serve_requests_total ' "$om_dir/serve_baseline.om"; then
   echo "dxrecd OpenMetrics exposition is missing dxrec_serve_requests" >&2
   exit 1
 fi
+# Sessions are queried repeatedly, so warm requests must have answered
+# from the session-resident recovery set.
+hits=$(sed -n 's/^dxrec_serve_recovery_set_hits_total \([0-9]*\)$/\1/p' \
+    "$om_dir/serve_baseline.om")
+if [ -z "$hits" ] || [ "$hits" -le 0 ]; then
+  echo "dxrecd recorded no recovery-set hits (got '$hits')" >&2
+  exit 1
+fi
+echo "serve recovery sets: $hits warm hits"
 python3 - "$om_dir/serve_baseline.jsonl" <<'EOF'
 import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]

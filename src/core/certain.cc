@@ -18,14 +18,18 @@ Result<AnswerSet> CertainAnswers(const UnionQuery& query,
   }
   Result<InverseChaseResult> inverse = InverseChase(sigma, target, options);
   if (!inverse.ok()) return inverse.status();
-  if (!inverse->valid_for_recovery()) {
+  return CertainAnswersFrom(query, *inverse);
+}
+
+Result<AnswerSet> CertainAnswersFrom(const UnionQuery& query,
+                                     const InverseChaseResult& inverse) {
+  if (!inverse.valid_for_recovery()) {
     return Status::FailedPrecondition(
         "target instance is not valid for recovery under Sigma");
   }
-  span.AddArg("recoveries",
-              static_cast<int64_t>(inverse->recoveries.size()));
-  obs::Span intersect_span("certain_intersect");
-  return CertainAnswersOver(query, inverse->recoveries);
+  obs::Span span("certain_intersect");
+  span.AddArg("recoveries", static_cast<int64_t>(inverse.recoveries.size()));
+  return CertainAnswersOver(query, inverse.recoveries);
 }
 
 Result<AnswerSet> CertainAnswers(const ConjunctiveQuery& query,

@@ -24,6 +24,13 @@ Result<AnswerSet> CertainAnswers(
     const Instance& target,
     const InverseChaseOptions& options = InverseChaseOptions());
 
+// Certain answers from an already computed Chase^{-1}(Sigma, J), e.g. a
+// session-resident set (core/engine.h, RecoveryCache): the intersection
+// of Q over `inverse.recoveries`. FailedPrecondition when the set is
+// empty, as above.
+Result<AnswerSet> CertainAnswersFrom(const UnionQuery& query,
+                                     const InverseChaseResult& inverse);
+
 // Convenience overload for a single CQ.
 Result<AnswerSet> CertainAnswers(
     const ConjunctiveQuery& query, const DependencySet& sigma,

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/report.h"
 #include "resilience/degraded.h"
@@ -26,6 +27,50 @@ const resilience::ExecutionContext* Arm(const ResilienceOptions& r,
   if (r.deadline_seconds > 0) ctx->SetDeadlineAfter(r.deadline_seconds);
   if (r.cancel != nullptr) ctx->SetCancelToken(r.cancel);
   return ctx->active() ? ctx : nullptr;
+}
+
+// RecoveryCache accounting. dxrecd is the only owner of a cache, so the
+// counters carry its serve. prefix (docs/SERVING.md).
+void CountRecoverySetHit() {
+  if (obs::Enabled()) {
+    static obs::Counter* hits =
+        obs::MetricsRegistry::Global().GetCounter("serve.recovery_set_hits");
+    hits->Add(1);
+  }
+}
+
+// Stores a completed build in `cache` and returns the stored set, which
+// is a racing caller's when that caller stored first.
+std::shared_ptr<const InverseChaseResult> StoreRecoverySet(
+    RecoveryCache* cache, InverseChaseResult built) {
+  if (obs::Enabled()) {
+    static obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+        "serve.recovery_set_builds");
+    builds->Add(1);
+  }
+  return cache->Put(
+      std::make_shared<const InverseChaseResult>(std::move(built)));
+}
+
+// The exact rung of CertainAnswersDegraded.
+Result<AnswerSet> ExactCertainAnswers(const UnionQuery& query,
+                                      const DependencySet& sigma,
+                                      const Instance& target,
+                                      const InverseChaseOptions& options,
+                                      RecoveryCache* cache) {
+  if (cache == nullptr) {
+    return internal::CertainAnswers(query, sigma, target, options);
+  }
+  std::shared_ptr<const InverseChaseResult> set = cache->Get();
+  if (set != nullptr) {
+    CountRecoverySetHit();
+  } else {
+    Result<InverseChaseResult> built =
+        internal::InverseChase(sigma, target, options);
+    if (!built.ok()) return built.status();
+    set = StoreRecoverySet(cache, std::move(*built));
+  }
+  return internal::CertainAnswersFrom(query, *set);
 }
 
 }  // namespace
@@ -153,7 +198,8 @@ Result<AnswerSet> Engine::CertainAnswers(const UnionQuery& query,
 }
 
 Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
-    const UnionQuery& query, const Instance& target) const {
+    const UnionQuery& query, const Instance& target,
+    RecoveryCache* cache) const {
   MarkRun();
   obs::ProgressScope progress(options_.obs.progress_seconds,
                               options_.obs.progress_stderr);
@@ -161,7 +207,7 @@ Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
   InverseChaseOptions options = options_.ToInverseChaseOptions(
       Arm(options_.resilience, &ctx), pool_.get());
   Result<AnswerSet> exact =
-      internal::CertainAnswers(query, sigma_, target, options);
+      ExactCertainAnswers(query, sigma_, target, options, cache);
   resilience::Degraded<AnswerSet> out;
   if (exact.ok()) {
     out.value = std::move(*exact);
@@ -196,17 +242,29 @@ Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
 }
 
 Result<resilience::Degraded<InverseChaseResult>> Engine::RecoverDegraded(
-    const Instance& target) const {
+    const Instance& target, RecoveryCache* cache) const {
   MarkRun();
+  resilience::Degraded<InverseChaseResult> out;
+  if (cache != nullptr) {
+    if (std::shared_ptr<const InverseChaseResult> set = cache->Get()) {
+      CountRecoverySetHit();
+      out.value = *set;
+      return out;
+    }
+  }
   obs::ProgressScope progress(options_.obs.progress_seconds,
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
       Arm(options_.resilience, &ctx), pool_.get());
-  resilience::Degraded<InverseChaseResult> out;
   Status interrupt;
   out.value = internal::InverseChasePartial(sigma_, target, options, &interrupt);
-  if (interrupt.ok()) return out;
+  if (interrupt.ok()) {
+    if (cache != nullptr) {
+      out.value = *StoreRecoverySet(cache, std::move(out.value));
+    }
+    return out;
+  }
   if (!options_.resilience.degrade ||
       interrupt.code() != StatusCode::kResourceExhausted) {
     return interrupt;

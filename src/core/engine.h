@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -224,6 +225,38 @@ struct EngineOptions {
       util::ThreadPool* pool = nullptr) const;
 };
 
+// One (Sigma, J)'s exact Chase^{-1}(Sigma, J), built lazily and shared
+// by every later call that passes the same cache. By Thm. 2 the set is
+// query-independent, so one build answers every source UCQ. dxrecd keeps
+// one per session (docs/SERVING.md).
+//
+// The owner must pass a cache only to engines over that same Sigma and
+// J with the same budgets and algorithm options; deadline, cancellation
+// and thread count may differ per call. Only exact outcomes are stored:
+// a deadline, budget or cancel trip depends on the call, so the set is
+// recomputed next time. Concurrent first calls may each build; the
+// first Put wins and nobody waits on another caller's build.
+class RecoveryCache {
+ public:
+  // The stored set, or null before the first exact build.
+  std::shared_ptr<const InverseChaseResult> Get() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return set_;
+  }
+  // Stores `set` unless another build stored first; returns whichever
+  // set is stored.
+  std::shared_ptr<const InverseChaseResult> Put(
+      std::shared_ptr<const InverseChaseResult> set) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (set_ == nullptr) set_ = std::move(set);
+    return set_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::shared_ptr<const InverseChaseResult> set_;
+};
+
 class Engine {
  public:
   explicit Engine(DependencySet sigma, EngineOptions options = EngineOptions())
@@ -269,14 +302,19 @@ class Engine {
   // Fallback rungs are PTIME-ish and run without the tripped context.
   // Every degraded answer is certain (soundness per rung); completeness
   // is what is given up. Non-exhaustion errors still propagate.
+  //
+  // With a `cache`, the exact rung reads Chase^{-1}(Sigma, J) from it
+  // when stored, and otherwise stores the set it computed if the build
+  // completed. A null cache computes the set afresh on every call.
   Result<resilience::Degraded<AnswerSet>> CertainAnswersDegraded(
-      const UnionQuery& query, const Instance& target) const;
+      const UnionQuery& query, const Instance& target,
+      RecoveryCache* cache = nullptr) const;
   // Like Recover, but a trip returns the recoveries verified before the
   // interrupt (rung "partial", kPartial): each is a genuine recovery, the
   // set may be incomplete, so answer intersections over it are upper
-  // bounds on CERT.
+  // bounds on CERT. `cache` as for CertainAnswersDegraded.
   Result<resilience::Degraded<InverseChaseResult>> RecoverDegraded(
-      const Instance& target) const;
+      const Instance& target, RecoveryCache* cache = nullptr) const;
 
   // --- Tractable paths (Sec. 6) -------------------------------------
   Result<TractabilityReport> Analyze(const Instance& target) const;

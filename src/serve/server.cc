@@ -103,9 +103,24 @@ void Server::AcceptLoop() {
       shared->Close();
       break;
     }
-    connections_.push_back(shared);
-    readers_.emplace_back(
-        [this, shared] { ReaderLoop(shared); });
+    ReapReadersLocked();
+    Reader& reader = readers_.emplace_back();
+    reader.conn = shared;
+    reader.thread = std::thread([this, shared, &reader] {
+      ReaderLoop(shared);
+      reader.done.store(true, std::memory_order_release);
+    });
+  }
+}
+
+void Server::ReapReadersLocked() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = readers_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -237,7 +252,8 @@ void Server::Execute(const Pending& pending) {
   RecordMicros("serve.queue_wait_micros", MicrosSince(pending.enqueued));
   auto start = std::chrono::steady_clock::now();
 
-  // Resolve (Sigma, J): a named session, or an inline one-shot pair.
+  // Resolve (Sigma, J): a named session, or an inline one-shot pair
+  // whose recovery-set cache dies with the request.
   std::shared_ptr<const Session> session;
   if (!request.session.empty()) {
     Result<std::shared_ptr<const Session>> found =
@@ -288,7 +304,8 @@ void Server::Execute(const Pending& pending) {
         return;
       }
       Result<resilience::Degraded<AnswerSet>> answers =
-          engine.CertainAnswersDegraded(*query, session->target);
+          engine.CertainAnswersDegraded(*query, session->target,
+                                        &session->recovery_set);
       if (!answers.ok()) {
         failure = answers.status();
         break;
@@ -306,7 +323,7 @@ void Server::Execute(const Pending& pending) {
     }
     case Op::kRecover: {
       Result<resilience::Degraded<InverseChaseResult>> recovered =
-          engine.RecoverDegraded(session->target);
+          engine.RecoverDegraded(session->target, &session->recovery_set);
       if (!recovered.ok()) {
         failure = recovered.status();
         break;
@@ -405,6 +422,17 @@ std::string Server::HandleStats(const Request& request) {
   fields["queue_soft_limit"] =
       JsonValue(static_cast<int64_t>(queue_.soft_limit()));
   fields["draining"] = JsonValue(draining());
+  {
+    // Reader threads held: the live connections, plus any closed since
+    // the last accept reaped them.
+    std::lock_guard<std::mutex> lock(readers_mu_);
+    fields["connections"] = JsonValue(static_cast<int64_t>(readers_.size()));
+  }
+  RecoverySetUsage recovery_sets = sessions_.RecoverySets();
+  fields["recovery_sets"] =
+      JsonValue(static_cast<int64_t>(recovery_sets.sets));
+  fields["recovery_set_atoms"] =
+      JsonValue(static_cast<int64_t>(recovery_sets.atoms));
   return OkResponse(request.id, std::move(fields));
 }
 
@@ -450,19 +478,21 @@ void Server::Drain() {
   //    readers, then join them and the accept thread.
   {
     std::lock_guard<std::mutex> lock(readers_mu_);
-    for (const std::weak_ptr<Connection>& weak : connections_) {
-      if (std::shared_ptr<Connection> conn = weak.lock()) conn->Close();
+    for (const Reader& reader : readers_) {
+      if (std::shared_ptr<Connection> conn = reader.conn.lock()) {
+        conn->Close();
+      }
     }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  // Join outside the lock: a reader still answering a stats request
+  // takes readers_mu_ to count connections. Swapping keeps the nodes.
+  std::list<Reader> readers;
   {
     std::lock_guard<std::mutex> lock(readers_mu_);
-    for (std::thread& reader : readers_) {
-      if (reader.joinable()) reader.join();
-    }
-    readers_.clear();
-    connections_.clear();
+    readers.swap(readers_);
   }
+  for (Reader& reader : readers) reader.thread.join();
 
   // 4. Flush telemetry: one final rotation through every registered
   //    exporter, so JSONL/OpenMetrics sinks see the complete run.

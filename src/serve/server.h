@@ -36,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -100,8 +101,20 @@ class Server {
     std::chrono::steady_clock::time_point enqueued;
   };
 
+  // One connection's reader thread. List nodes never move, so the
+  // thread may set its own `done` flag on exit.
+  struct Reader {
+    std::thread thread;
+    std::weak_ptr<Connection> conn;
+    std::atomic<bool> done{false};
+  };
+
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
+  // Joins and drops readers whose connection has ended, so the server
+  // holds threads for its live connections, not for every connection it
+  // ever accepted. Runs before each accept; caller holds readers_mu_.
+  void ReapReadersLocked();
   void DispatchLoop();
 
   // Runs on a pool worker: executes one admitted request end to end and
@@ -130,8 +143,7 @@ class Server {
   std::thread dispatch_thread_;
 
   std::mutex readers_mu_;
-  std::vector<std::thread> readers_;
-  std::vector<std::weak_ptr<Connection>> connections_;
+  std::list<Reader> readers_;
 
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;

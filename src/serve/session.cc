@@ -19,6 +19,16 @@ Result<std::shared_ptr<const Session>> SessionRegistry::Open(
   if (name.empty()) {
     return Status::InvalidArgument("session name must be non-empty");
   }
+  auto taken = [&name] {
+    return Status::FailedPrecondition("session \"" + name +
+                                      "\" is already open");
+  };
+  {
+    // Parsing interns J's symbols for good; skip it for a taken name.
+    // The insert below still catches a racing open of the same name.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (sessions_.count(name) != 0) return taken();
+  }
   Result<DependencySet> sigma = ParseTgdSet(sigma_text);
   if (!sigma.ok()) return sigma.status();
   Result<Instance> target = ParseInstance(target_text);
@@ -34,10 +44,7 @@ Result<std::shared_ptr<const Session>> SessionRegistry::Open(
 
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = sessions_.emplace(name, std::move(session));
-  if (!inserted) {
-    return Status::FailedPrecondition("session \"" + name +
-                                      "\" is already open");
-  }
+  if (!inserted) return taken();
   if (obs::Enabled()) {
     static obs::Gauge* open_sessions =
         obs::MetricsRegistry::Global().GetGauge("serve.sessions");
@@ -82,6 +89,21 @@ std::vector<std::string> SessionRegistry::Names() const {
   out.reserve(sessions_.size());
   for (const auto& [name, session] : sessions_) out.push_back(name);
   return out;
+}
+
+RecoverySetUsage SessionRegistry::RecoverySets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecoverySetUsage usage;
+  for (const auto& [name, session] : sessions_) {
+    std::shared_ptr<const InverseChaseResult> set =
+        session->recovery_set.Get();
+    if (set == nullptr) continue;
+    ++usage.sets;
+    for (const Instance& recovery : set->recoveries) {
+      usage.atoms += recovery.size();
+    }
+  }
+  return usage;
 }
 
 void SessionRegistry::Clear() {

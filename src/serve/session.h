@@ -9,7 +9,9 @@
 // Sessions are immutable after open and handed out as
 // shared_ptr<const Session>: a close only drops the registry's
 // reference, in-flight requests keep theirs, so "close_session racing a
-// request on the same session" is safe by construction.
+// request on the same session" is safe by construction. The one mutable
+// member is the session-resident recovery set Chase^{-1}(Sigma, J),
+// built by the first request that needs it and freed with the session.
 #ifndef DXREC_SERVE_SESSION_H_
 #define DXREC_SERVE_SESSION_H_
 
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "core/engine.h"
 #include "logic/dependency_set.h"
 #include "relational/instance.h"
 
@@ -30,13 +33,22 @@ struct Session {
   std::string name;
   DependencySet sigma;
   Instance target;
+  // Lazily built on the first certain/recover request (core/engine.h).
+  mutable RecoveryCache recovery_set;
+};
+
+// Recovery sets held across the open sessions, for the stats op.
+struct RecoverySetUsage {
+  size_t sets = 0;   // sessions whose set is built
+  size_t atoms = 0;  // atoms across those sets' recoveries
 };
 
 class SessionRegistry {
  public:
   // Parses and installs a session. kFailedPrecondition when the name is
-  // taken; kInvalidArgument (parse_context) when sigma/target don't
-  // parse. Passes the "serve.session" fault-injection site.
+  // taken, checked before parsing so a duplicate open does no work;
+  // kInvalidArgument (parse_context) when sigma/target don't parse.
+  // Passes the "serve.session" fault-injection site.
   Result<std::shared_ptr<const Session>> Open(const std::string& name,
                                               const std::string& sigma_text,
                                               const std::string& target_text);
@@ -48,6 +60,7 @@ class SessionRegistry {
 
   size_t size() const;
   std::vector<std::string> Names() const;
+  RecoverySetUsage RecoverySets() const;
   void Clear();
 
  private:

@@ -1,11 +1,18 @@
 // Tests for the Engine facade plus datagen/util helpers.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "chase/homomorphism.h"
 #include "core/engine.h"
 #include "core/hom_set.h"
 #include "datagen/generators.h"
 #include "datagen/scenarios.h"
 #include "logic/parser.h"
+#include "resilience/fault_injection.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
@@ -109,6 +116,160 @@ TEST(Engine, BaselineAccessible) {
       engine.BaselineRecoveredSource(OverlapScenario::Target(1, 1));
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(baseline->size(), 1u);
+}
+
+// --- Session-resident recovery sets (RecoveryCache) -------------------
+
+struct CacheCase {
+  const char* name;
+  DependencySet sigma;
+  Instance target;
+  std::vector<UnionQuery> queries;
+};
+
+// The named workloads and the paper's examples, each with source UCQs.
+// Diamond's invalid target exercises the FailedPrecondition path.
+std::vector<CacheCase> CacheCases() {
+  std::vector<CacheCase> cases;
+  auto add = [&cases](const char* name, DependencySet sigma, Instance target,
+                      std::vector<const char*> queries) {
+    CacheCase c{name, std::move(sigma), std::move(target), {}};
+    for (const char* q : queries) c.queries.push_back(U(q));
+    cases.push_back(std::move(c));
+  };
+  add("projection", ProjectionScenario::Sigma(), ProjectionScenario::Target(96),
+      {"Q(x) :- Rp(x, 'b2')", "Q(y) :- Rp(x, y)"});
+  add("triangle", TriangleScenario::Sigma(), TriangleScenario::Target(1, 2),
+      {"Q(x) :- Rt(x, x, y)", "Q(p) :- Dt(k, p) | Q(p) :- Rt(u, v, p)"});
+  add("employee", EmployeeScenario::Sigma(), EmployeeScenario::Target(2, 2, 2),
+      {"Q(x) :- Bnf('dept0', x)", "Q(n, d) :- Emp(n, d)"});
+  add("blowup", BlowupScenario::Sigma(), BlowupScenario::Target(2, 4),
+      {"Q(x) :- Rb(x, y)", "Q(x, y) :- Rb(x, y)"});
+  add("selfjoin", SelfJoinScenario::Sigma(), SelfJoinScenario::Target(1, 1),
+      {"Q(x) :- Rj(x, x, y)"});
+  add("pair", PairScenario::Sigma(), PairScenario::Target(2, 2),
+      {"Q(z) :- De(z)", "Q(x) :- Re(x, y)"});
+  add("fan", FanScenario::Sigma(), FanScenario::Target(3),
+      {"Q(x) :- Rf(x, y)"});
+  add("overlap", OverlapScenario::Sigma(), OverlapScenario::Target(1, 1),
+      {"Q(x) :- Uo(x)", "Q(x) :- Ro(x, x)"});
+  add("diamond_invalid", DiamondScenario::Sigma(),
+      DiamondScenario::InvalidTarget(2), {"Q(x) :- Rd(x)"});
+  return cases;
+}
+
+// Null labels come from a process-wide counter, so two builds of the same
+// set agree up to null renaming, recovery by recovery.
+void ExpectSameRecover(
+    const Result<resilience::Degraded<InverseChaseResult>>& want,
+    const Result<resilience::Degraded<InverseChaseResult>>& got) {
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->info.rung, want->info.rung);
+  const std::vector<Instance>& a = want->value.recoveries;
+  const std::vector<Instance>& b = got->value.recoveries;
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(AreIsomorphic(a[i], b[i])) << "recovery " << i;
+  }
+}
+
+void ExpectSameCertain(const Result<resilience::Degraded<AnswerSet>>& want,
+                       const Result<resilience::Degraded<AnswerSet>>& got) {
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    return;
+  }
+  EXPECT_EQ(got->info.rung, want->info.rung);
+  EXPECT_EQ(got->value, want->value);
+}
+
+TEST(EngineRecoveryCache, CachedCallsEqualUncachedCalls) {
+  for (const CacheCase& c : CacheCases()) {
+    SCOPED_TRACE(c.name);
+    Engine engine(c.sigma);
+
+    // Built by recover, then hit by recover and by every certain call.
+    RecoveryCache cache;
+    auto plain = engine.RecoverDegraded(c.target);
+    ExpectSameRecover(plain, engine.RecoverDegraded(c.target, &cache));
+    std::shared_ptr<const InverseChaseResult> stored = cache.Get();
+    ASSERT_NE(stored, nullptr);
+    ExpectSameRecover(plain, engine.RecoverDegraded(c.target, &cache));
+    for (const UnionQuery& q : c.queries) {
+      ExpectSameCertain(engine.CertainAnswersDegraded(q, c.target),
+                        engine.CertainAnswersDegraded(q, c.target, &cache));
+    }
+    EXPECT_EQ(cache.Get(), stored) << "a stored set is never rebuilt";
+
+    // Built by certain, then hit by recover.
+    RecoveryCache certain_first;
+    for (const UnionQuery& q : c.queries) {
+      ExpectSameCertain(
+          engine.CertainAnswersDegraded(q, c.target),
+          engine.CertainAnswersDegraded(q, c.target, &certain_first));
+    }
+    ASSERT_NE(certain_first.Get(), nullptr);
+    ExpectSameRecover(plain, engine.RecoverDegraded(c.target, &certain_first));
+  }
+}
+
+TEST(EngineRecoveryCache, InvalidTargetStoresEmptySetAndKeepsFailing) {
+  Engine engine(DiamondScenario::Sigma());
+  Instance j = DiamondScenario::InvalidTarget(2);
+  RecoveryCache cache;
+  for (int i = 0; i < 3; ++i) {
+    auto cert = engine.CertainAnswersDegraded(U("Q(x) :- Rd(x)"), j, &cache);
+    ASSERT_FALSE(cert.ok());
+    EXPECT_EQ(cert.status().code(), StatusCode::kFailedPrecondition);
+    auto rec = engine.RecoverDegraded(j, &cache);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_TRUE(rec->exact());
+    EXPECT_FALSE(rec->value.valid_for_recovery());
+  }
+  ASSERT_NE(cache.Get(), nullptr);
+  EXPECT_FALSE(cache.Get()->valid_for_recovery());
+}
+
+TEST(EngineRecoveryCache, TripStoresNothingAndNextExactCallStores) {
+  Engine engine(TriangleScenario::Sigma());
+  Instance j = TriangleScenario::Target(1, 2);
+  UnionQuery q = U("Q(x) :- Rt(x, x, y)");
+  RecoveryCache cache;
+
+  testing::FaultPlan plan;
+  plan.site = "inverse_chase.cover";
+  plan.kind = testing::FaultKind::kDeadline;
+  testing::FaultInjector::Global().Arm(plan);
+  auto tripped = engine.CertainAnswersDegraded(q, j, &cache);
+  EXPECT_TRUE(testing::FaultInjector::Global().fired());
+  testing::FaultInjector::Global().Reset();
+  ASSERT_TRUE(tripped.ok()) << tripped.status().ToString();
+  EXPECT_FALSE(tripped->exact());
+  EXPECT_EQ(cache.Get(), nullptr);
+
+  testing::FaultInjector::Global().Arm(plan);
+  auto partial = engine.RecoverDegraded(j, &cache);
+  testing::FaultInjector::Global().Reset();
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_FALSE(partial->exact());
+  EXPECT_EQ(cache.Get(), nullptr);
+
+  auto exact = engine.CertainAnswersDegraded(q, j, &cache);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_TRUE(exact->exact());
+  EXPECT_EQ(exact->value, (AnswerSet{{Term::Constant("a0")}}));
+  EXPECT_NE(cache.Get(), nullptr);
+}
+
+TEST(EngineRecoveryCache, FirstPutWins) {
+  RecoveryCache cache;
+  auto first = std::make_shared<const InverseChaseResult>();
+  auto second = std::make_shared<const InverseChaseResult>();
+  EXPECT_EQ(cache.Put(first), first);
+  EXPECT_EQ(cache.Put(second), first);
+  EXPECT_EQ(cache.Get(), first);
 }
 
 TEST(Datagen, RandomMappingIsWellFormed) {

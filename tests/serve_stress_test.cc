@@ -1,7 +1,8 @@
 // Concurrent multi-client stress for the dxrecd server (docs/SERVING.md):
 // connection churn, interleaved requests on shared and per-client
-// sessions, and byte-identical per-session results against one-shot
-// engine runs. Designed to run clean under TSan (scripts/check.sh).
+// sessions, racing first requests on a cold session, and byte-identical
+// per-session results against one-shot engine runs. Designed to run
+// clean under TSan (scripts/check.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -215,6 +216,84 @@ TEST(ServeStress, ConcurrentClientsChurnSessionsStayIsolated) {
 
   server.Drain();
   EXPECT_TRUE(server.draining());
+}
+
+TEST(ServeStress, ConcurrentFirstRequestsOnColdSessionAgree) {
+  // Blowup p=2, q=4: one cover and 70 recoveries, slow enough that the
+  // first requests race to build the session's recovery set.
+  const Workload workload{
+      "Rb(x, y) -> Sb(x); Rb(u, v) -> Tb(v)",
+      "{Sb(a1), Sb(a2), Tb(c1), Tb(c2), Tb(c3), Tb(c4)}",
+      "Q(x) :- Rb(x, y)"};
+  const Workload second_query{workload.sigma, workload.target,
+                              "Q(y) :- Rb(x, y)"};
+  const std::vector<std::string> expected = ExpectedAnswers(workload);
+  const std::vector<std::string> expected_second =
+      ExpectedAnswers(second_query);
+  ASSERT_EQ(expected.size(), 2u);
+  ASSERT_EQ(expected_second.size(), 4u);
+
+  ServerOptions options;
+  options.threads = 4;
+  options.queue_capacity = 1024;
+  options.queue_soft_limit = 1023;
+  auto listener = std::make_unique<LocalListener>();
+  LocalListener* local = listener.get();
+  Server server(options);
+  ASSERT_TRUE(server.Start(std::move(listener)).ok());
+  {
+    Result<std::unique_ptr<Connection>> admin = local->Connect();
+    ASSERT_TRUE(admin.ok());
+    JsonValue reply;
+    ASSERT_TRUE(Call(**admin, OpenLine("o", "cold", workload), &reply));
+    ASSERT_TRUE(reply.Find("ok")->AsBool()) << reply.Serialize();
+    (*admin)->Close();
+  }
+
+  const size_t kClients = 8;
+  const size_t kRequests = 6;
+  std::atomic<size_t> ready{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> transport_failures{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Result<std::unique_ptr<Connection>> conn = local->Connect();
+      if (!conn.ok()) {
+        ++transport_failures;
+        return;
+      }
+      // Release every client's first request together.
+      ++ready;
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (size_t i = 0; i < kRequests; ++i) {
+        const bool first = (c + i) % 2 == 0;
+        JsonValue reply;
+        if (!Call(**conn,
+                  CertainLine(std::to_string(i), "cold",
+                              first ? workload.query : second_query.query),
+                  &reply)) {
+          ++transport_failures;
+          return;
+        }
+        if (!AnswersMatch(reply, first ? expected : expected_second)) {
+          ++mismatches;
+        }
+      }
+      (*conn)->Close();
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(transport_failures.load(), 0u);
+
+  Result<std::unique_ptr<Connection>> admin = local->Connect();
+  ASSERT_TRUE(admin.ok());
+  JsonValue stats;
+  ASSERT_TRUE(Call(**admin, R"({"id":"s","op":"stats"})", &stats));
+  EXPECT_EQ(stats.Find("recovery_sets")->AsInt(), 1);
+  EXPECT_GT(stats.Find("recovery_set_atoms")->AsInt(), 0);
+  server.Drain();
 }
 
 TEST(ServeStress, DrainUnderLoadAnswersEveryAcceptedRequest) {

@@ -4,14 +4,20 @@
 // serve_stress_test.cc.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "base/symbol_table.h"
 #include "core/engine.h"
+#include "logic/io.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "resilience/fault_injection.h"
 #include "serve/admission.h"
 #include "serve/protocol.h"
@@ -184,6 +190,49 @@ constexpr char kTarget[] = "{T1(a, b), T1(b, c)}";
 // source relation S1; a target-relation query has empty certain answers.
 constexpr char kQuery[] = "Q(x) :- S1(x)";
 
+std::string OpenLine(const std::string& session, const std::string& sigma,
+                     const std::string& target) {
+  JsonObject request;
+  request["id"] = JsonValue("open");
+  request["op"] = JsonValue("open_session");
+  request["session"] = JsonValue(session);
+  request["sigma"] = JsonValue(sigma);
+  request["target"] = JsonValue(target);
+  return JsonValue(std::move(request)).Serialize();
+}
+
+std::string SessionLine(const std::string& op, const std::string& session,
+                        const std::string& query = "") {
+  JsonObject request;
+  request["id"] = JsonValue(op);
+  request["op"] = JsonValue(op);
+  request["session"] = JsonValue(session);
+  if (!query.empty()) request["query"] = JsonValue(query);
+  return JsonValue(std::move(request)).Serialize();
+}
+
+std::vector<std::string> Strings(const JsonValue* array) {
+  std::vector<std::string> out;
+  if (array == nullptr || !array->is_array()) return out;
+  for (const JsonValue& v : array->AsArray()) out.push_back(v.AsString());
+  return out;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Get();
+}
+
+// Turns on the global metrics registry for one test, so the
+// serve.recovery_set_* counters count.
+class ScopedObs {
+ public:
+  ScopedObs() : was_enabled_(obs::Enabled()) { obs::SetEnabled(true); }
+  ~ScopedObs() { obs::SetEnabled(was_enabled_); }
+
+ private:
+  bool was_enabled_;
+};
+
 class ServeTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions options = ServerOptions()) {
@@ -344,6 +393,173 @@ TEST_F(ServeTest, StatsReportsQueueAndSessions) {
   EXPECT_EQ(stats.Find("sessions")->AsInt(), 0);
   EXPECT_EQ(stats.Find("queue_capacity")->AsInt(), 64);
   EXPECT_FALSE(stats.Find("draining")->AsBool());
+}
+
+TEST_F(ServeTest, AcceptReapsClosedConnections) {
+  StartServer();
+  for (int i = 0; i < 200; ++i) {
+    std::unique_ptr<Connection> conn = Connect();
+    ASSERT_TRUE(Call(*conn, R"({"id":"p","op":"ping"})").Find("ok")->AsBool());
+    conn->Close();
+  }
+  // Each accept reaps the readers that finished before it. The last
+  // closed reader may still be exiting when the next accept runs, so
+  // retry on a fresh connection after a pause.
+  int64_t connections = -1;
+  for (int attempt = 0; attempt < 100 && connections != 1; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::unique_ptr<Connection> conn = Connect();
+    connections = Call(*conn, R"({"id":"s","op":"stats"})")
+                      .Find("connections")->AsInt();
+    conn->Close();
+  }
+  EXPECT_LE(connections, 1);
+}
+
+TEST_F(ServeTest, DuplicateOpenParsesNothing) {
+  StartServer();
+  std::unique_ptr<Connection> conn = Connect();
+  ASSERT_TRUE(
+      Call(*conn, OpenLine("taken", kSigma, kTarget)).Find("ok")->AsBool());
+  const size_t constants = Symbols().constants.size();
+  JsonValue reply = Call(
+      *conn, OpenLine("taken", kSigma, "{T1(dup_open_unseen_constant, b)}"));
+  ASSERT_FALSE(reply.Find("ok")->AsBool());
+  EXPECT_EQ(reply.Find("error")->Find("kind")->AsString(), "session_exists");
+  EXPECT_EQ(Symbols().constants.size(), constants);
+}
+
+// Two tgds into one target relation: four null-free recoveries, so the
+// served recover reply can be compared byte for byte.
+constexpr char kChoiceSigma[] = "S1(x) -> T1(x); S2(x) -> T1(x)";
+constexpr char kChoiceTarget[] = "{T1(a), T1(b)}";
+
+TEST_F(ServeTest, WarmSessionRequestsMatchFreshEngineAndBuildOnce) {
+  ScopedObs obs_on;
+  StartServer();
+  std::unique_ptr<Connection> conn = Connect();
+  ASSERT_TRUE(Call(*conn, OpenLine("warm", kChoiceSigma, kChoiceTarget))
+                  .Find("ok")->AsBool());
+  EXPECT_EQ(Call(*conn, R"({"id":"s","op":"stats"})")
+                .Find("recovery_sets")->AsInt(),
+            0)
+      << "nothing is built at open";
+
+  const std::vector<std::string> queries = {
+      "Q(x) :- S1(x)", "Q(x) :- S1(x) | Q(x) :- S2(x)", "Q(x) :- S2(x)"};
+  Engine fresh(*ParseTgdSet(kChoiceSigma), EngineOptions().WithThreads(1));
+  const Instance target = *ParseInstance(kChoiceTarget);
+  std::vector<std::vector<std::string>> want_answers;
+  for (const std::string& q : queries) {
+    Result<AnswerSet> answers =
+        fresh.CertainAnswers(*ParseUnionQuery(q), target);
+    ASSERT_TRUE(answers.ok());
+    std::vector<std::string> strings;
+    for (const AnswerTuple& tuple : *answers) {
+      strings.push_back(ToString(tuple));
+    }
+    want_answers.push_back(std::move(strings));
+  }
+  EXPECT_EQ(want_answers[1], (std::vector<std::string>{"(a)", "(b)"}));
+  Result<InverseChaseResult> recovered = fresh.Recover(target);
+  ASSERT_TRUE(recovered.ok());
+  std::vector<std::string> want_recoveries;
+  for (const Instance& r : recovered->recoveries) {
+    want_recoveries.push_back(SerializeInstance(r));
+  }
+  ASSERT_GT(want_recoveries.size(), 1u);
+
+  const uint64_t builds = CounterValue("serve.recovery_set_builds");
+  const uint64_t hits = CounterValue("serve.recovery_set_hits");
+  size_t variables = 0;
+  const int kRounds = 8;
+  for (int round = 0; round <= kRounds; ++round) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      JsonValue reply = Call(*conn, SessionLine("certain", "warm", queries[i]));
+      ASSERT_TRUE(reply.Find("ok")->AsBool()) << reply.Serialize();
+      EXPECT_EQ(reply.Find("rung")->AsString(), "exact");
+      EXPECT_EQ(Strings(reply.Find("answers")), want_answers[i]);
+    }
+    JsonValue reply = Call(*conn, SessionLine("recover", "warm"));
+    ASSERT_TRUE(reply.Find("ok")->AsBool()) << reply.Serialize();
+    EXPECT_EQ(reply.Find("rung")->AsString(), "exact");
+    EXPECT_EQ(Strings(reply.Find("recoveries")), want_recoveries);
+    // Round 0 builds the set and interns the queries' variables; warm
+    // rounds rename nothing apart, so they intern nothing.
+    if (round == 0) variables = Symbols().variables.size();
+  }
+  EXPECT_EQ(Symbols().variables.size(), variables);
+  EXPECT_EQ(CounterValue("serve.recovery_set_builds") - builds, 1u);
+  EXPECT_EQ(CounterValue("serve.recovery_set_hits") - hits,
+            (kRounds + 1) * (queries.size() + 1) - 1);
+
+  JsonValue stats = Call(*conn, R"({"id":"s","op":"stats"})");
+  EXPECT_EQ(stats.Find("recovery_sets")->AsInt(), 1);
+  size_t atoms = 0;
+  for (const Instance& r : recovered->recoveries) atoms += r.size();
+  EXPECT_EQ(stats.Find("recovery_set_atoms")->AsInt(),
+            static_cast<int64_t>(atoms));
+
+  // Closing the session releases its set.
+  ASSERT_TRUE(Call(*conn, SessionLine("close_session", "warm"))
+                  .Find("ok")->AsBool());
+  stats = Call(*conn, R"({"id":"s","op":"stats"})");
+  EXPECT_EQ(stats.Find("recovery_sets")->AsInt(), 0);
+  EXPECT_EQ(stats.Find("recovery_set_atoms")->AsInt(), 0);
+}
+
+TEST_F(ServeTest, TrippedFirstRequestStoresNothing) {
+  ScopedObs obs_on;
+  StartServer();
+  std::unique_ptr<Connection> conn = Connect();
+  ASSERT_TRUE(
+      Call(*conn, OpenLine("trip", kSigma, kTarget)).Find("ok")->AsBool());
+  const uint64_t builds = CounterValue("serve.recovery_set_builds");
+
+  testing::FaultPlan plan;
+  plan.site = "inverse_chase.cover";
+  plan.kind = testing::FaultKind::kDeadline;
+  testing::FaultInjector::Global().Arm(plan);
+  JsonValue tripped = Call(*conn, SessionLine("certain", "trip", kQuery));
+  ASSERT_TRUE(tripped.Find("ok")->AsBool()) << tripped.Serialize();
+  EXPECT_TRUE(testing::FaultInjector::Global().fired());
+  EXPECT_NE(tripped.Find("rung")->AsString(), "exact");
+  EXPECT_EQ(CounterValue("serve.recovery_set_builds"), builds);
+  EXPECT_EQ(Call(*conn, R"({"id":"s","op":"stats"})")
+                .Find("recovery_sets")->AsInt(),
+            0);
+
+  JsonValue exact = Call(*conn, SessionLine("certain", "trip", kQuery));
+  ASSERT_TRUE(exact.Find("ok")->AsBool()) << exact.Serialize();
+  EXPECT_EQ(exact.Find("rung")->AsString(), "exact");
+  EXPECT_EQ(Strings(exact.Find("answers")),
+            (std::vector<std::string>{"(a)", "(b)"}));
+  EXPECT_EQ(CounterValue("serve.recovery_set_builds"), builds + 1);
+  EXPECT_EQ(Call(*conn, R"({"id":"s","op":"stats"})")
+                .Find("recovery_sets")->AsInt(),
+            1);
+}
+
+TEST_F(ServeTest, InvalidTargetFailsEveryCertain) {
+  StartServer();
+  std::unique_ptr<Connection> conn = Connect();
+  // Td(t_only) forces Rd(t_only), whose chase also yields Sd(t_only).
+  ASSERT_TRUE(Call(*conn, OpenLine("invalid",
+                                   "Rd(x) -> Td(x); Rd(x2) -> Sd(x2); "
+                                   "Md(x3) -> Sd(x3)",
+                                   "{Td(t_only)}"))
+                  .Find("ok")->AsBool());
+  for (int i = 0; i < 3; ++i) {
+    JsonValue certain =
+        Call(*conn, SessionLine("certain", "invalid", "Q(x) :- Rd(x)"));
+    ASSERT_FALSE(certain.Find("ok")->AsBool());
+    EXPECT_EQ(certain.Find("error")->Find("kind")->AsString(),
+              "failed_precondition");
+    JsonValue recover = Call(*conn, SessionLine("recover", "invalid"));
+    ASSERT_TRUE(recover.Find("ok")->AsBool()) << recover.Serialize();
+    EXPECT_EQ(recover.Find("rung")->AsString(), "exact");
+    EXPECT_FALSE(recover.Find("valid_for_recovery")->AsBool());
+  }
 }
 
 TEST_F(ServeTest, DeadlineTripDegradesToSoundRung) {
