@@ -11,7 +11,10 @@
 #include "chase/chase.h"
 #include "chase/evaluation.h"
 #include "chase/homomorphism.h"
+#include "core/cover.h"
+#include "core/hom_set.h"
 #include "core/inverse_chase.h"
+#include "core/recovery.h"
 #include "datagen/generators.h"
 #include "datagen/scenarios.h"
 #include "logic/parser.h"
@@ -205,6 +208,51 @@ BENCHMARK(BM_InverseChase)
     ->Args({6, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// Step 7's minimality check on the Projection scenario (intro eq. (1)):
+// R(x, y) -> S(x), P(y) is full, so each of the |J| - 1 body matches
+// fixes its head image outright. The recovery is the one Chase^{-1}
+// emits for J = {S(a), P(b1..bn)} (dxrec-bench's "|J| = n" shapes).
+void BM_IsMinimalSolution(benchmark::State& state) {
+  DependencySet sigma = ProjectionScenario::Sigma();
+  Instance j = ProjectionScenario::Target(static_cast<size_t>(state.range(0)));
+  j.WarmColumnar();
+  Result<InverseChaseResult> chased = internal::InverseChase(sigma, j);
+  if (!chased.ok() || chased->recoveries.size() != 1) {
+    state.SkipWithError("projection recovery not unique");
+    return;
+  }
+  const Instance& recovery = chased->recoveries[0];
+  recovery.WarmColumnar();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(IsMinimalSolution(sigma, recovery, j));
+  }
+}
+BENCHMARK(BM_IsMinimalSolution)
+    ->ArgNames({"n"})
+    ->Arg(96)
+    ->Arg(1536)
+    ->Unit(benchmark::kMicrosecond);
+
+// COV(Sigma, J) on Projection: every hom is the only coverer of its
+// P-tuple, so the one cover is all of HOM(Sigma, J). Times the coverage
+// matrix build plus the enumeration, as step 2 runs them.
+void BM_AllCovers(benchmark::State& state) {
+  DependencySet sigma = ProjectionScenario::Sigma();
+  Instance j = ProjectionScenario::Target(static_cast<size_t>(state.range(0)));
+  std::vector<HeadHom> homs = ComputeHomSet(sigma, j);
+  for (auto _ : state) {
+    CoverProblem problem(sigma, j, homs);
+    std::vector<Cover> covers;
+    Status status = problem.AllCoversInto(CoverOptions(), &covers);
+    benchmark::DoNotOptimize(status.ok());
+    benchmark::DoNotOptimize(covers.size());
+  }
+}
+BENCHMARK(BM_AllCovers)
+    ->ArgNames({"n"})
+    ->Arg(1536)
+    ->Unit(benchmark::kMicrosecond);
 
 // Observability overhead A/B: the same forward chase with obs off
 // (baseline), obs on (spans + metrics), and obs + the sampling profiler

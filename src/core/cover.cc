@@ -28,6 +28,15 @@ class Bits {
     }
     return true;
   }
+  // Covers(other) of the union of *this and `extra`, without building it.
+  bool CoversWith(const Bits& extra, const Bits& other) const {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      if ((other.words_[w] & ~(words_[w] | extra.words_[w])) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
   bool All() const {
     size_t full = n_ / 64;
     for (size_t w = 0; w < full; ++w) {
@@ -71,15 +80,17 @@ CoverProblem::CoverProblem(const DependencySet& sigma,
   coverage_.resize(homs.size());
   covered_by_.assign(num_tuples_, {});
   for (size_t i = 0; i < homs.size(); ++i) {
-    Instance covered = homs[i].CoveredTuples(sigma);
-    for (const Atom& a : covered.atoms()) {
-      auto it = tuple_index.find(a);
-      if (it != tuple_index.end()) {
-        coverage_[i].push_back(it->second);
-        covered_by_[it->second].push_back(static_cast<uint32_t>(i));
-      }
+    // J_h as tuple indices: the image of each head atom.
+    std::vector<uint32_t>& tuples = coverage_[i];
+    for (const Atom& a : sigma.at(homs[i].tgd).head()) {
+      auto it = tuple_index.find(a.Apply(homs[i].hom));
+      if (it != tuple_index.end()) tuples.push_back(it->second);
     }
-    std::sort(coverage_[i].begin(), coverage_[i].end());
+    std::sort(tuples.begin(), tuples.end());
+    tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+    for (uint32_t t : tuples) {
+      covered_by_[t].push_back(static_cast<uint32_t>(i));
+    }
   }
 }
 
@@ -105,9 +116,11 @@ struct Budget {
 
 // Recursively enumerates all subsets of homs [i..m) whose union with
 // `covered` covers `universe`. `suffix_union[i]` is the union of coverage
-// of homs i..m-1.
+// of homs i..m-1. `forced[i]` marks a hom that is the only coverer of
+// some tuple (Thm. 7's uniquely covered tuples): every cover contains it.
 Status AllCoversRec(const std::vector<Bits>& hom_bits,
                     const std::vector<Bits>& suffix_union,
+                    const std::vector<bool>& forced,
                     const Bits& universe, size_t i, Bits covered,
                     Cover* current, std::vector<Cover>* out,
                     Budget* budget) {
@@ -122,20 +135,24 @@ Status AllCoversRec(const std::vector<Bits>& hom_bits,
     return Status::Ok();
   }
   // Prune: the remaining homs must be able to finish the job.
-  Bits reachable = covered;
-  reachable.OrWith(suffix_union[i]);
-  if (!reachable.Covers(universe)) return Status::Ok();
+  if (!covered.CoversWith(suffix_union[i], universe)) return Status::Ok();
 
-  // Exclude hom i.
-  Status status = AllCoversRec(hom_bits, suffix_union, universe, i + 1,
-                               covered, current, out, budget);
-  if (!status.ok()) return status;
+  // Exclude hom i. For a forced hom that branch leaves its unique tuple
+  // unreachable, so it would stop at its first node; charge that node
+  // without the visit so cover.nodes reads the same either way.
+  if (forced[i]) {
+    if (!budget->nodes.Consume()) return budget->nodes.Exhausted();
+  } else {
+    Status status = AllCoversRec(hom_bits, suffix_union, forced, universe,
+                                 i + 1, covered, current, out, budget);
+    if (!status.ok()) return status;
+  }
   // Include hom i.
-  Bits with = covered;
-  with.OrWith(hom_bits[i]);
+  covered.OrWith(hom_bits[i]);
   current->push_back(i);
-  status = AllCoversRec(hom_bits, suffix_union, universe, i + 1, with,
-                        current, out, budget);
+  Status status = AllCoversRec(hom_bits, suffix_union, forced, universe,
+                               i + 1, std::move(covered), current, out,
+                               budget);
   current->pop_back();
   return status;
 }
@@ -204,9 +221,13 @@ Status CoverProblem::AllCoversInto(const CoverOptions& options,
     suffix_union[i] = suffix_union[i + 1];
     suffix_union[i].OrWith(hom_bits[i]);
   }
+  std::vector<bool> forced(hom_bits.size(), false);
+  for (const auto& homs : covered_by_) {
+    if (homs.size() == 1) forced[homs[0]] = true;
+  }
   Cover current;
   Budget budget(options);
-  return AllCoversRec(hom_bits, suffix_union, universe, 0,
+  return AllCoversRec(hom_bits, suffix_union, forced, universe, 0,
                       Bits(num_tuples_), &current, out, &budget);
 }
 

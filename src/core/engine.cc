@@ -76,8 +76,8 @@ Result<AnswerSet> ExactCertainAnswers(const UnionQuery& query,
 }  // namespace
 
 InverseChaseOptions EngineOptions::ToInverseChaseOptions(
-    const resilience::ExecutionContext* context,
-    util::ThreadPool* pool) const {
+    const resilience::ExecutionContext* context, util::ThreadPool* pool,
+    SubsumptionCache* sub_cache) const {
   InverseChaseOptions o;
   o.cover.max_covers = budgets.max_covers;
   o.cover.max_nodes = budgets.max_cover_nodes;
@@ -95,6 +95,7 @@ InverseChaseOptions EngineOptions::ToInverseChaseOptions(
   o.pool = pool;
   o.parallel_min_candidates = parallel.min_root_candidates;
   o.context = context;
+  o.sub_cache = sub_cache;
   return o;
 }
 
@@ -129,12 +130,12 @@ MaxRecoveryOptions EngineOptions::ToMaxRecoveryOptions(
 }
 
 RepairOptions EngineOptions::ToRepairOptions(
-    const resilience::ExecutionContext* context,
-    util::ThreadPool* pool) const {
+    const resilience::ExecutionContext* context, util::ThreadPool* pool,
+    SubsumptionCache* sub_cache) const {
   RepairOptions o;
   o.max_validity_checks = budgets.max_validity_checks;
   o.max_repairs = budgets.max_repairs;
-  o.inverse = ToInverseChaseOptions(context, pool);
+  o.inverse = ToInverseChaseOptions(context, pool, sub_cache);
   return o;
 }
 
@@ -150,7 +151,7 @@ Result<InverseChaseResult> Engine::Recover(const Instance& target) const {
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get());
+      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   // Pass-through keeps the full Status — in particular the BudgetInfo
   // payload of ResourceExhausted trips (see EngineBudget* tests).
   return internal::InverseChase(sigma_, target, options);
@@ -162,7 +163,7 @@ Result<bool> Engine::IsValid(const Instance& target) const {
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get());
+      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   return internal::IsValidForRecovery(sigma_, target, options);
 }
 
@@ -172,7 +173,7 @@ Result<bool> Engine::IsUniversalForSomeSource(const Instance& target) const {
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get());
+      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   return internal::IsUniversalSolutionForSomeSource(sigma_, target, options);
 }
 
@@ -182,7 +183,7 @@ Result<bool> Engine::IsCanonicalForSomeSource(const Instance& target) const {
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get());
+      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   return internal::IsCanonicalSolutionForSomeSource(sigma_, target, options);
 }
 
@@ -193,7 +194,7 @@ Result<AnswerSet> Engine::CertainAnswers(const UnionQuery& query,
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get());
+      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   return internal::CertainAnswers(query, sigma_, target, options);
 }
 
@@ -205,7 +206,7 @@ Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get());
+      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   Result<AnswerSet> exact =
       ExactCertainAnswers(query, sigma_, target, options, cache);
   resilience::Degraded<AnswerSet> out;
@@ -256,7 +257,7 @@ Result<resilience::Degraded<InverseChaseResult>> Engine::RecoverDegraded(
                               options_.obs.progress_stderr);
   resilience::ExecutionContext ctx;
   InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get());
+      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   Status interrupt;
   out.value = internal::InverseChasePartial(sigma_, target, options, &interrupt);
   if (interrupt.ok()) {
@@ -345,7 +346,7 @@ Result<RepairResult> Engine::Repair(const Instance& target) const {
   resilience::ExecutionContext ctx;
   return internal::RepairTarget(sigma_, target,
                       options_.ToRepairOptions(Arm(options_.resilience, &ctx),
-                                               pool_.get()));
+                                               pool_.get(), sub_cache_.get()));
 }
 
 Result<Instance> Engine::RepairGreedy(const Instance& target) const {
@@ -355,7 +356,7 @@ Result<Instance> Engine::RepairGreedy(const Instance& target) const {
   resilience::ExecutionContext ctx;
   return internal::GreedyRepair(sigma_, target,
                       options_.ToRepairOptions(Arm(options_.resilience, &ctx),
-                                               pool_.get()));
+                                               pool_.get(), sub_cache_.get()));
 }
 
 }  // namespace dxrec

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -45,6 +44,7 @@
 #include "relational/instance.h"
 #include "resilience/degraded.h"
 #include "resilience/execution_context.h"
+#include "util/store_once.h"
 #include "util/thread_pool.h"
 
 namespace dxrec {
@@ -213,7 +213,8 @@ struct EngineOptions {
   // and may be null.
   InverseChaseOptions ToInverseChaseOptions(
       const resilience::ExecutionContext* context = nullptr,
-      util::ThreadPool* pool = nullptr) const;
+      util::ThreadPool* pool = nullptr,
+      SubsumptionCache* sub_cache = nullptr) const;
   SubsumptionOptions ToSubsumptionOptions(
       const resilience::ExecutionContext* context = nullptr) const;
   SubUniversalOptions ToSubUniversalOptions(
@@ -222,7 +223,8 @@ struct EngineOptions {
       const resilience::ExecutionContext* context = nullptr) const;
   RepairOptions ToRepairOptions(
       const resilience::ExecutionContext* context = nullptr,
-      util::ThreadPool* pool = nullptr) const;
+      util::ThreadPool* pool = nullptr,
+      SubsumptionCache* sub_cache = nullptr) const;
 };
 
 // One (Sigma, J)'s exact Chase^{-1}(Sigma, J), built lazily and shared
@@ -235,32 +237,15 @@ struct EngineOptions {
 // and thread count may differ per call. Only exact outcomes are stored:
 // a deadline, budget or cancel trip depends on the call, so the set is
 // recomputed next time. Concurrent first calls may each build; the
-// first Put wins and nobody waits on another caller's build.
-class RecoveryCache {
- public:
-  // The stored set, or null before the first exact build.
-  std::shared_ptr<const InverseChaseResult> Get() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return set_;
-  }
-  // Stores `set` unless another build stored first; returns whichever
-  // set is stored.
-  std::shared_ptr<const InverseChaseResult> Put(
-      std::shared_ptr<const InverseChaseResult> set) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (set_ == nullptr) set_ = std::move(set);
-    return set_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const InverseChaseResult> set_;
-};
+// first Put wins (util/store_once.h).
+using RecoveryCache = util::StoreOnce<InverseChaseResult>;
 
 class Engine {
  public:
   explicit Engine(DependencySet sigma, EngineOptions options = EngineOptions())
-      : sigma_(std::move(sigma)), options_(std::move(options)) {
+      : sigma_(std::move(sigma)),
+        options_(std::move(options)),
+        sub_cache_(std::make_unique<SubsumptionCache>()) {
     obs::Apply(options_.obs);
     const size_t threads = options_.parallel.threads == 0
                                ? util::ThreadPool::HardwareThreads()
@@ -342,6 +327,9 @@ class Engine {
   // Long-lived worker pool shared by all calls on this engine. Created
   // once so repeated calls don't pay thread spin-up.
   std::unique_ptr<util::ThreadPool> pool_;
+  // SUB(Sigma), computed by the first inverse chase that completes it.
+  // Behind a pointer so the engine stays movable.
+  std::unique_ptr<SubsumptionCache> sub_cache_;
 };
 
 }  // namespace dxrec

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "base/fresh.h"
@@ -51,11 +52,43 @@ HomSearchResult BackHomomorphisms(const Instance& chased,
   return FindHomomorphismsChecked(chased.atoms(), target, options);
 }
 
+// A candidate's canonical atoms (CanonicalAtoms) and their hash: equal
+// for two candidates iff their CanonicalStrings are. Step 7 and merge
+// dedup on it.
+struct CandidateKey {
+  std::vector<Atom> atoms;
+  size_t hash = 0;
+};
+
+CandidateKey KeyOf(std::vector<Atom> atoms) {
+  CandidateKey key{CanonicalAtoms(std::move(atoms)), 0};
+  key.hash = key.atoms.size();
+  for (const Atom& a : key.atoms) {
+    key.hash ^= AtomHash()(a) + 0x9e3779b9 + (key.hash << 6) +
+                (key.hash >> 2);
+  }
+  return key;
+}
+
+struct CandidateKeyHash {
+  size_t operator()(const CandidateKey* key) const { return key->hash; }
+};
+
+struct CandidateKeyEq {
+  bool operator()(const CandidateKey* a, const CandidateKey* b) const {
+    return a->hash == b->hash && a->atoms == b->atoms;
+  }
+};
+
 // A verified recovery candidate produced from one (cover, g) pair.
 struct VerifiedCandidate {
   size_t cover_index = 0;
   size_t g_index = 0;
+  // Empty for a duplicate of an earlier candidate of the same cover: it
+  // carries only its key, on which merge always drops it.
   Instance recovery;
+  // Set when step 7 keyed the candidate; merge keys the others itself.
+  std::optional<CandidateKey> key;
   std::optional<RecoveryExplanation> explanation;
 };
 
@@ -91,9 +124,10 @@ struct CoverOutcome {
 // Runs Def. 9's steps 4-7 for one covering. Thread-safe given a warmed
 // target index: all mutated state is local or the atomic null counter.
 // `pool` (may be null) enables the within-cover fan-outs: the g-hom
-// search over root slices and the verification loop over g ranges —
-// both merge in deterministic order, so a cover's outcome does not
-// depend on where its pieces ran. `shared_budget` (may be null) is the
+// search over root slices, candidate building over g ranges and
+// verification over ranges of distinct candidates — all merge in
+// deterministic order, so a cover's outcome does not depend on where its
+// pieces ran. `shared_budget` (may be null) is the
 // cross-cover work pool of options.max_cover_work.
 CoverOutcome ProcessCover(const DependencySet& sigma,
                           const Instance& target,
@@ -257,123 +291,182 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
   // test is the fallback). Completeness is unaffected: for any recovery
   // I*, the cover realized by I* and its induced g yield a candidate
   // contained in I* that passes this check.
+  //
+  // Distinct g often collapse to the same g(I_H). Over a ground target a
+  // verdict depends on the candidate only up to null labels, so each
+  // distinct canonical key is verified once and its duplicates inherit
+  // the verdict (and still count, and emit events, one by one). With
+  // target nulls a relabelling can trade a target null for a fresh one,
+  // so there every candidate is verified on its own.
   const bool target_ground = target.IsGround();
+  const bool memo = target_ground && gs.size() > 1;
   obs::Span verify_span("step7_verify_emit");
 
-  // One contiguous range of g indices verified on one thread; slices
-  // merge in g order, so chunking never changes the emitted set.
+  // Runs `body(i)` for i in [0, n), in contiguous slices that may run on
+  // pool threads; a slice stops at its first tripped checkpoint. Slices
+  // merge in index order, so chunking never changes what is computed.
   struct VerifySlice {
     Status interrupt;
-    size_t num_candidates = 0;
-    size_t num_rejected = 0;
-    size_t num_unverified = 0;
-    std::vector<VerifiedCandidate> candidates;
-    // Searches run while verifying this slice (minimality/justification
-    // checks, coring); merged into cstats.verify in slice order.
+    // Searches run in this slice (coring, minimality/justification
+    // checks); merged into cstats.verify in slice order.
     obs::stats::SearchStats search;
   };
-  auto verify_range = [&](size_t g_lo, size_t g_hi) {
-    VerifySlice slice;
-    // The slice runs wholly on one thread, so a slice-local sink catches
-    // every search below it even on pool workers.
-    obs::stats::ScopedSearch verify_scope(stats_on ? &slice.search
-                                                   : nullptr);
-    for (size_t g_index = g_lo; g_index < g_hi; ++g_index) {
-      // Verification runs the exponential justification machinery per g;
-      // stop between candidates so a trip keeps the ones already verified.
-      slice.interrupt = resilience::CheckPoint(
-          options.context, "inverse_chase.verify", "covers");
-      if (!slice.interrupt.ok()) break;
-      const Substitution& g = gs[g_index];
-      Instance recovery = source.Apply(g);
-      if (options.core_recoveries) {
-        size_t before = recovery.size();
-        recovery = ComputeCore(recovery);
-        if (obs::EventsEnabled() && recovery.size() != before) {
-          obs::Emit("recovery.cored",
-                    {{"cover", static_cast<int64_t>(cover_index)},
-                     {"before", static_cast<int64_t>(before)},
-                     {"after", static_cast<int64_t>(recovery.size())}});
-        }
+  auto for_slices = [&](size_t n, const std::function<void(size_t)>& body) {
+    auto run = [&](size_t lo, size_t hi) {
+      VerifySlice slice;
+      // The slice runs wholly on one thread, so a slice-local sink catches
+      // every search below it even on pool workers.
+      obs::stats::ScopedSearch scope(stats_on ? &slice.search : nullptr);
+      for (size_t i = lo; i < hi; ++i) {
+        slice.interrupt = resilience::CheckPoint(
+            options.context, "inverse_chase.verify", "covers");
+        if (!slice.interrupt.ok()) break;
+        body(i);
       }
-      slice.num_candidates++;
-      bool is_recovery = IsMinimalSolution(sigma, recovery, target);
-      if (!is_recovery && !target_ground) {
-        JustificationOptions justification;
-        justification.context = options.context;
-        Result<bool> justified =
-            IsJustifiedSolution(sigma, recovery, target, justification);
-        if (justified.ok()) {
-          is_recovery = *justified;
-        } else {
-          slice.num_unverified++;
-        }
+      return slice;
+    };
+    std::vector<VerifySlice> slices;
+    if (pool != nullptr && n >= 8) {
+      // E2-shaped workloads put nearly all their work here (one cover,
+      // thousands of g), so this inner fan-out is what keeps the pool
+      // busy when the cover-level fan-out alone cannot.
+      const size_t num_chunks = std::min(n, (pool->num_threads() + 1) * 4);
+      slices.resize(num_chunks);
+      util::TaskGroup group(pool, options.context);
+      for (size_t c = 0; c < num_chunks; ++c) {
+        const size_t lo = n * c / num_chunks;
+        const size_t hi = n * (c + 1) / num_chunks;
+        group.Run([&run, &slices, c, lo, hi] { slices[c] = run(lo, hi); });
       }
-      if (!is_recovery) {
-        slice.num_rejected++;
-        if (obs::EventsEnabled()) {
-          obs::Emit("recovery.rejected",
-                    {{"cover", static_cast<int64_t>(cover_index)},
-                     {"g", static_cast<int64_t>(g_index)}});
-        }
-        continue;
-      }
-      VerifiedCandidate candidate;
-      candidate.cover_index = cover_index;
-      candidate.g_index = g_index;
-      if (options.explain) {
-        RecoveryExplanation explanation;
-        explanation.cover = h_set;
-        explanation.g = g;
-        for (size_t k = 0; k < per_hom_sources.size(); ++k) {
-          Instance covered = h_set[k].CoveredTuples(sigma);
-          for (const Atom& raw : per_hom_sources[k].atoms()) {
-            Atom mapped = raw.Apply(g);
-            // The core step may have folded this atom away.
-            if (!recovery.Contains(mapped)) continue;
-            explanation.atoms.push_back(
-                SourceAtomProvenance{mapped, h_set[k].tgd, covered});
-          }
-        }
-        candidate.explanation = std::move(explanation);
-      }
-      candidate.recovery = std::move(recovery);
-      slice.candidates.push_back(std::move(candidate));
+      group.Wait();
+    } else {
+      slices.push_back(run(0, n));
     }
-    return slice;
+    for (VerifySlice& slice : slices) {
+      if (!slice.interrupt.ok() && outcome.interrupt.ok()) {
+        outcome.interrupt = std::move(slice.interrupt);
+      }
+      if (stats_on) cstats.verify.Merge(slice.search);
+    }
   };
 
-  std::vector<VerifySlice> slices;
-  if (pool != nullptr && gs.size() >= 8) {
-    // E2-shaped workloads put nearly all their work here (one cover,
-    // thousands of g), so this inner fan-out is what keeps the pool busy
-    // when the cover-level fan-out alone cannot.
-    const size_t num_chunks =
-        std::min(gs.size(), (pool->num_threads() + 1) * 4);
-    slices.resize(num_chunks);
-    util::TaskGroup group(pool, options.context);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t lo = gs.size() * c / num_chunks;
-      const size_t hi = gs.size() * (c + 1) / num_chunks;
-      group.Run([&verify_range, &slices, c, lo, hi] {
-        slices[c] = verify_range(lo, hi);
-      });
+  // Candidates g(I_H) as atom lists, cored when asked, keyed when
+  // memoized. Only the representatives, which are verified, become
+  // instances.
+  std::vector<std::vector<Atom>> candidates(gs.size());
+  std::vector<CandidateKey> keys(memo ? gs.size() : 0);
+  std::vector<char> built(gs.size(), 0);
+  for_slices(gs.size(), [&](size_t g_index) {
+    const Substitution& g = gs[g_index];
+    std::vector<Atom> atoms;
+    if (options.core_recoveries) {
+      Instance recovery = source.Apply(g);
+      Instance core = ComputeCore(recovery);
+      if (obs::EventsEnabled() && core.size() != recovery.size()) {
+        obs::Emit("recovery.cored",
+                  {{"cover", static_cast<int64_t>(cover_index)},
+                   {"before", static_cast<int64_t>(recovery.size())},
+                   {"after", static_cast<int64_t>(core.size())}});
+      }
+      atoms = core.atoms();
+    } else {
+      atoms.reserve(source.size());
+      for (const Atom& a : source.atoms()) atoms.push_back(a.Apply(g));
     }
-    group.Wait();
-  } else {
-    slices.push_back(verify_range(0, gs.size()));
+    if (memo) keys[g_index] = KeyOf(atoms);
+    candidates[g_index] = std::move(atoms);
+    built[g_index] = 1;
+  });
+
+  // First occurrences, in g order, are the candidates verified.
+  std::vector<size_t> representatives;
+  std::vector<size_t> representative_of(gs.size());
+  {
+    std::unordered_map<const CandidateKey*, size_t, CandidateKeyHash,
+                       CandidateKeyEq>
+        first;
+    for (size_t g_index = 0; g_index < gs.size(); ++g_index) {
+      if (!built[g_index]) continue;
+      if (memo) {
+        auto [it, inserted] =
+            first.emplace(&keys[g_index], representatives.size());
+        representative_of[g_index] = it->second;
+        if (!inserted) continue;
+      } else {
+        representative_of[g_index] = representatives.size();
+      }
+      representatives.push_back(g_index);
+    }
   }
-  for (VerifySlice& slice : slices) {
-    if (!slice.interrupt.ok() && outcome.interrupt.ok()) {
-      outcome.interrupt = std::move(slice.interrupt);
+
+  enum class Verdict : uint8_t { kPending, kRecovery, kRejected, kUnverified };
+  std::vector<Verdict> verdicts(representatives.size(), Verdict::kPending);
+  std::vector<Instance> recoveries(representatives.size());
+  for_slices(representatives.size(), [&](size_t r) {
+    Instance& recovery = recoveries[r];
+    recovery.AddAll(candidates[representatives[r]]);
+    bool is_recovery = IsMinimalSolution(sigma, recovery, target);
+    bool unverified = false;
+    if (!is_recovery && !target_ground) {
+      JustificationOptions justification;
+      justification.context = options.context;
+      Result<bool> justified =
+          IsJustifiedSolution(sigma, recovery, target, justification);
+      if (justified.ok()) {
+        is_recovery = *justified;
+      } else {
+        unverified = true;
+      }
     }
-    outcome.num_candidates += slice.num_candidates;
-    outcome.num_rejected += slice.num_rejected;
-    outcome.num_unverified += slice.num_unverified;
-    if (stats_on) cstats.verify.Merge(slice.search);
-    for (VerifiedCandidate& candidate : slice.candidates) {
+    verdicts[r] = is_recovery  ? Verdict::kRecovery
+                  : unverified ? Verdict::kUnverified
+                               : Verdict::kRejected;
+  });
+
+  // Every candidate whose verdict is known counts, in g order.
+  for (size_t g_index = 0; g_index < gs.size(); ++g_index) {
+    if (!built[g_index]) continue;
+    const size_t r = representative_of[g_index];
+    if (verdicts[r] == Verdict::kPending) continue;
+    outcome.num_candidates++;
+    if (verdicts[r] != Verdict::kRecovery) {
+      outcome.num_rejected++;
+      if (verdicts[r] == Verdict::kUnverified) outcome.num_unverified++;
+      if (obs::EventsEnabled()) {
+        obs::Emit("recovery.rejected",
+                  {{"cover", static_cast<int64_t>(cover_index)},
+                   {"g", static_cast<int64_t>(g_index)}});
+      }
+      continue;
+    }
+    VerifiedCandidate candidate;
+    candidate.cover_index = cover_index;
+    candidate.g_index = g_index;
+    if (memo) candidate.key = std::move(keys[g_index]);
+    if (representatives[r] != g_index) {
       outcome.candidates.push_back(std::move(candidate));
+      continue;
     }
+    const Instance& recovery = recoveries[r];
+    if (options.explain) {
+      const Substitution& g = gs[g_index];
+      RecoveryExplanation explanation;
+      explanation.cover = h_set;
+      explanation.g = g;
+      for (size_t k = 0; k < per_hom_sources.size(); ++k) {
+        Instance covered = h_set[k].CoveredTuples(sigma);
+        for (const Atom& raw : per_hom_sources[k].atoms()) {
+          Atom mapped = raw.Apply(g);
+          // The core step may have folded this atom away.
+          if (!recovery.Contains(mapped)) continue;
+          explanation.atoms.push_back(
+              SourceAtomProvenance{mapped, h_set[k].tgd, covered});
+        }
+      }
+      candidate.explanation = std::move(explanation);
+    }
+    candidate.recovery = std::move(recoveries[r]);
+    outcome.candidates.push_back(std::move(candidate));
   }
   outcome.seconds_verify = phase_sw.ElapsedSeconds();
   verify_span.AddArg("candidates", static_cast<int64_t>(outcome.num_candidates));
@@ -446,6 +539,30 @@ std::string RecoveryExplanation::ToString(const DependencySet& sigma) const {
 }
 
 namespace {
+
+using SubsumptionSet =
+    std::shared_ptr<const std::vector<SubsumptionConstraint>>;
+
+// Step 3's SUB(Sigma): options.sub_cache's set when one is stored, else
+// computed here and stored there.
+Result<SubsumptionSet> LoadSubsumption(const DependencySet& sigma,
+                                       const InverseChaseOptions& options) {
+  if (options.sub_cache != nullptr) {
+    if (SubsumptionSet stored = options.sub_cache->Get()) return stored;
+  }
+  SubsumptionOptions sub_options = options.subsumption;
+  if (sub_options.context == nullptr) sub_options.context = options.context;
+  Result<std::vector<SubsumptionConstraint>> computed =
+      ComputeSubsumption(sigma, sub_options);
+  if (!computed.ok()) return computed.status();
+  SubsumptionSet sub =
+      std::make_shared<const std::vector<SubsumptionConstraint>>(
+          std::move(*computed));
+  if (options.sub_cache != nullptr) {
+    sub = options.sub_cache->Put(std::move(sub));
+  }
+  return sub;
+}
 
 // The pipeline body shared by InverseChase (exact: partial output is
 // discarded on error) and InverseChasePartial (accumulated output kept,
@@ -531,9 +648,9 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
   result.stats.seconds_cover_enum = phase_sw.ElapsedSeconds();
   phase_sw.Reset();
 
-  // 3. SUB(Sigma).
+  // 3. SUB(Sigma), from options.sub_cache when an earlier call stored it.
   obs::SetPhase("subsumption");
-  std::vector<SubsumptionConstraint> sub;
+  SubsumptionSet sub_set;
   if (options.use_subsumption_filter) {
     Status checkpoint = resilience::CheckPoint(
         options.context, "inverse_chase.subsumption", "subsumption");
@@ -542,15 +659,10 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     }
     if (checkpoint.ok()) {
       obs::Span span("step3_subsumption");
-      SubsumptionOptions sub_options = options.subsumption;
-      if (sub_options.context == nullptr) {
-        sub_options.context = options.context;
-      }
-      Result<std::vector<SubsumptionConstraint>> computed =
-          ComputeSubsumption(sigma, sub_options);
+      Result<SubsumptionSet> computed = LoadSubsumption(sigma, options);
       if (computed.ok()) {
-        sub = std::move(*computed);
-        span.AddArg("constraints", static_cast<int64_t>(sub.size()));
+        sub_set = std::move(*computed);
+        span.AddArg("constraints", static_cast<int64_t>(sub_set->size()));
       } else if (!keep_partial) {
         return fail(computed.status());
       } else if (interrupt.ok()) {
@@ -562,6 +674,9 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
       interrupt = std::move(checkpoint);
     }
   }
+  static const std::vector<SubsumptionConstraint> kNoConstraints;
+  const std::vector<SubsumptionConstraint>& sub =
+      sub_set != nullptr ? *sub_set : kNoConstraints;
   run_stats.sub_constraints = sub.size();
   result.stats.seconds_subsumption = phase_sw.ElapsedSeconds();
   phase_sw.Reset();
@@ -681,12 +796,22 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
       result.stats.num_covers_yielding_recoveries++;
     }
   }
-  std::set<std::string> seen_exact;
+  // Exact dedup on the candidates' canonical keys: step 7's where it
+  // computed them, computed here otherwise, and skipped for a lone
+  // candidate, which has nothing to collide with.
+  size_t num_verified = 0;
+  for (const CoverOutcome& outcome : outcomes) {
+    num_verified += outcome.candidates.size();
+  }
+  std::unordered_set<const CandidateKey*, CandidateKeyHash, CandidateKeyEq>
+      seen_exact;
   bool merge_truncated = false;
   for (CoverOutcome& outcome : outcomes) {
     for (VerifiedCandidate& candidate : outcome.candidates) {
-      std::string key = CanonicalString(candidate.recovery);
-      if (!seen_exact.insert(key).second) {
+      if (num_verified > 1 && !candidate.key.has_value()) {
+        candidate.key = KeyOf(candidate.recovery.atoms());
+      }
+      if (num_verified > 1 && !seen_exact.insert(&*candidate.key).second) {
         if (obs::EventsEnabled()) {
           obs::Emit("recovery.deduped",
                     {{"cover", static_cast<int64_t>(candidate.cover_index)}},

@@ -87,6 +87,11 @@ struct InverseChaseOptions {
   // threaded into every budgeted sub-search and checked at the pipeline's
   // phase and per-cover boundaries. Not owned; must outlive the call.
   const resilience::ExecutionContext* context = nullptr;
+  // Optional SUB(Sigma) store shared across calls over this Sigma with
+  // these subsumption budgets: step 3 reads it, and stores the set it
+  // computed when the computation completed. dxrec::Engine passes its
+  // own. Not owned.
+  SubsumptionCache* sub_cache = nullptr;
 };
 
 // Provenance of one recovered source atom.

@@ -22,11 +22,31 @@ bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
   // non-removable iff some trigger's head matches *all* contain t, so J
   // is minimal iff every tuple lies in the match-intersection of some
   // trigger. Computing those intersections directly (with early exit
-  // once an intersection empties) avoids |J| full re-checks.
+  // once an intersection empties) avoids |J| full re-checks. A full tgd
+  // needs no head search at all (see below).
   std::unordered_set<Atom, AtomHash> needed;
   for (TgdId id = 0; id < sigma.size(); ++id) {
     const Tgd& tgd = sigma.at(id);
     bool all_triggers_satisfied = true;
+    if (tgd.IsFull()) {
+      // The body match binds every head variable, so the head has exactly
+      // one candidate image: it is the whole intersection if it lies in J.
+      ForEachHomomorphism(
+          tgd.body(), source, HomSearchOptions(),
+          [&](const Substitution& h) {
+            for (const Atom& a : tgd.head()) {
+              Atom image = a.Apply(h);
+              if (!target.Contains(image)) {
+                all_triggers_satisfied = false;
+                return false;
+              }
+              needed.insert(std::move(image));
+            }
+            return true;
+          });
+      if (!all_triggers_satisfied) return false;
+      continue;
+    }
     ForEachHomomorphism(
         tgd.body(), source, HomSearchOptions(),
         [&](const Substitution& h) {

@@ -1,5 +1,6 @@
 #include "core/subsumption.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -162,6 +163,15 @@ class Generator {
     // Option B: open a new copy of any tgd.
     if (copies.size() < max_premises_) {
       for (TgdId t = 0; t < sigma_.size(); ++t) {
+        // Rename apart only a tgd that can host `atom`: each copy interns
+        // fresh variables for good.
+        const std::vector<Atom>& body = sigma_.at(t).body();
+        if (std::none_of(body.begin(), body.end(), [&atom](const Atom& b) {
+              return b.relation() == atom.relation() &&
+                     b.arity() == atom.arity();
+            })) {
+          continue;
+        }
         Tgd renamed = sigma_.at(t).RenameApart();
         // Try each body atom of the new copy as the host for `atom`.
         for (const Atom& b : renamed.body()) {

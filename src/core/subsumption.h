@@ -32,6 +32,7 @@
 #include "base/term.h"
 #include "core/hom_set.h"
 #include "logic/dependency_set.h"
+#include "util/store_once.h"
 
 namespace dxrec {
 
@@ -74,6 +75,15 @@ struct SubsumptionOptions {
 Result<std::vector<SubsumptionConstraint>> ComputeSubsumption(
     const DependencySet& sigma,
     const SubsumptionOptions& options = SubsumptionOptions());
+
+// SUB(Sigma) for one Sigma, computed by the first inverse chase that
+// completes it and read by every later one. SUB depends on Sigma and the
+// subsumption budgets alone, so dxrec::Engine owns one per instance; each
+// uncached computation also interns fresh variables for its renamed tgd
+// copies, which a long-lived engine would otherwise accumulate. Only a
+// completed computation is stored: a budget, deadline or fault trip
+// depends on the call and surfaces as usual.
+using SubsumptionCache = util::StoreOnce<std::vector<SubsumptionConstraint>>;
 
 // H |= constraint (Def. 8): for every way of matching the premises with
 // homs from H, some hom in H matches the conclusion (pinned positions

@@ -31,9 +31,11 @@ RenamedInstance VariablesToNulls(const Instance& input, NullSource* source) {
   return RenamedInstance{input.Apply(renaming), std::move(renaming)};
 }
 
-Instance CanonicalizeNullLabels(const Instance& input) {
-  std::vector<Atom> sorted = input.atoms();
-  std::sort(sorted.begin(), sorted.end());
+namespace {
+
+// `sorted` (distinct atoms, in sorted order) with nulls renumbered _N0,
+// _N1, ... in order of first occurrence.
+std::vector<Atom> RenumberNulls(std::vector<Atom> sorted) {
   Substitution renumbering;
   uint32_t next = 0;
   for (const Atom& a : sorted) {
@@ -43,13 +45,30 @@ Instance CanonicalizeNullLabels(const Instance& input) {
       }
     }
   }
+  for (Atom& a : sorted) a = a.Apply(renumbering);
+  return sorted;
+}
+
+}  // namespace
+
+Instance CanonicalizeNullLabels(const Instance& input) {
+  std::vector<Atom> sorted = input.atoms();
+  std::sort(sorted.begin(), sorted.end());
   Instance out;
-  for (const Atom& a : sorted) out.Add(a.Apply(renumbering));
+  out.AddAll(RenumberNulls(std::move(sorted)));
   return out;
 }
 
 std::string CanonicalString(const Instance& input) {
   return CanonicalizeNullLabels(input).ToString();
+}
+
+std::vector<Atom> CanonicalAtoms(std::vector<Atom> atoms) {
+  std::sort(atoms.begin(), atoms.end());
+  atoms.erase(std::unique(atoms.begin(), atoms.end()), atoms.end());
+  atoms = RenumberNulls(std::move(atoms));
+  std::sort(atoms.begin(), atoms.end());
+  return atoms;
 }
 
 }  // namespace dxrec

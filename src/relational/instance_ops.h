@@ -5,6 +5,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "base/fresh.h"
 #include "base/substitution.h"
@@ -43,6 +44,11 @@ Instance CanonicalizeNullLabels(const Instance& input);
 // calls on equal-up-to-chosen-labels instances with the same atom ordering
 // yield the same string.
 std::string CanonicalString(const Instance& input);
+
+// The atoms CanonicalString renders, sorted, without rendering them: two
+// instances have equal CanonicalAtoms iff they have equal CanonicalStrings.
+// `atoms` is read as the instance holding them (repeats collapse).
+std::vector<Atom> CanonicalAtoms(std::vector<Atom> atoms);
 
 }  // namespace dxrec
 

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "base/fresh.h"
 #include "core/cover.h"
 #include "core/hom_set.h"
+#include "datagen/generators.h"
 #include "logic/parser.h"
 
 namespace dxrec {
@@ -164,6 +167,115 @@ TEST(CoverProblem, MinimalCoversOfSubset) {
   ASSERT_TRUE(covers.ok());
   EXPECT_EQ(covers->size(), 2u);
   for (const Cover& cover : *covers) EXPECT_EQ(cover.size(), 1u);
+}
+
+// --- AllCoversInto against a brute-force oracle --------------------------
+
+// Per hom, the set of target tuples it covers, computed from J_h directly
+// (not through CoverProblem).
+std::vector<std::set<Atom>> CoveredSets(const DependencySet& sigma,
+                                        const std::vector<HeadHom>& homs) {
+  std::vector<std::set<Atom>> out;
+  for (const HeadHom& h : homs) {
+    const Instance covered = h.CoveredTuples(sigma);
+    out.emplace_back(covered.atoms().begin(), covered.atoms().end());
+  }
+  return out;
+}
+
+// Every subset of the homs whose union is J, in the order of an
+// exclude-first include/exclude search over homs 0..m-1: counting up
+// with hom 0 as the most significant bit.
+std::vector<Cover> BruteForceCovers(const std::vector<std::set<Atom>>& covered,
+                                    const Instance& target) {
+  const size_t m = covered.size();
+  std::vector<Cover> out;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << m); ++mask) {
+    Cover subset;
+    std::set<Atom> reached;
+    for (size_t i = 0; i < m; ++i) {
+      if ((mask >> (m - 1 - i)) & 1) {
+        subset.push_back(i);
+        reached.insert(covered[i].begin(), covered[i].end());
+      }
+    }
+    bool covers = true;
+    for (const Atom& a : target.atoms()) covers = covers && reached.count(a);
+    if (covers) out.push_back(subset);
+  }
+  return out;
+}
+
+// Search nodes the include/exclude enumeration visits when every branch
+// is walked (no forced-hom shortcut): the cover.nodes it must charge.
+size_t ReferenceNodes(const std::vector<std::set<Atom>>& covered,
+                      const Instance& target, size_t i,
+                      std::set<Atom> reached) {
+  size_t nodes = 1;
+  auto reaches_all = [&target](const std::set<Atom>& have) {
+    for (const Atom& a : target.atoms()) {
+      if (have.count(a) == 0) return false;
+    }
+    return true;
+  };
+  if (i == covered.size()) return nodes;
+  std::set<Atom> reachable = reached;
+  for (size_t k = i; k < covered.size(); ++k) {
+    reachable.insert(covered[k].begin(), covered[k].end());
+  }
+  if (!reaches_all(reachable)) return nodes;
+  nodes += ReferenceNodes(covered, target, i + 1, reached);
+  reached.insert(covered[i].begin(), covered[i].end());
+  nodes += ReferenceNodes(covered, target, i + 1, std::move(reached));
+  return nodes;
+}
+
+TEST(CoverProblem, AllCoversMatchesBruteForceOnRandomProblems) {
+  size_t with_forced = 0;
+  size_t without_forced = 0;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(7000 + seed);
+    MappingSpec spec;
+    spec.num_tgds = 1 + rng.Index(3);
+    spec.num_target_relations = 2;
+    spec.max_arity = 2;
+    const std::string tag = "kco" + std::to_string(seed);
+    DependencySet sigma = RandomMapping(spec, tag, &rng);
+    SourceSpec source_spec;
+    source_spec.num_tuples = 1 + rng.Index(4);
+    source_spec.num_constants = 3;
+    Instance source = RandomSource(sigma, source_spec, tag, &rng);
+    Instance target = ChaseTarget(sigma, source, /*ground=*/rng.Chance(0.7));
+    std::vector<HeadHom> homs = ComputeHomSet(sigma, target);
+    if (homs.empty() || homs.size() > 12) continue;
+
+    CoverProblem problem(sigma, target, homs);
+    bool forced = false;
+    for (const auto& coverers : problem.covered_by()) {
+      forced = forced || coverers.size() == 1;
+    }
+    (forced ? with_forced : without_forced)++;
+
+    std::vector<std::set<Atom>> covered = CoveredSets(sigma, homs);
+    std::vector<Cover> got;
+    ASSERT_TRUE(problem.AllCoversInto(CoverOptions(), &got).ok());
+    EXPECT_EQ(got, BruteForceCovers(covered, target))
+        << sigma.ToString() << "\nJ = " << target.ToString();
+
+    // The node budget trips exactly where the full search would.
+    const size_t nodes = ReferenceNodes(covered, target, 0, {});
+    CoverOptions exact;
+    exact.max_nodes = nodes;
+    std::vector<Cover> within;
+    EXPECT_TRUE(problem.AllCoversInto(exact, &within).ok()) << nodes;
+    CoverOptions short_by_one;
+    short_by_one.max_nodes = nodes - 1;
+    std::vector<Cover> tripped;
+    Status status = problem.AllCoversInto(short_by_one, &tripped);
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << nodes;
+  }
+  EXPECT_GT(with_forced, 20u);
+  EXPECT_GT(without_forced, 20u);
 }
 
 }  // namespace

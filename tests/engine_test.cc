@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/symbol_table.h"
 #include "chase/homomorphism.h"
 #include "core/engine.h"
 #include "core/hom_set.h"
@@ -270,6 +271,78 @@ TEST(EngineRecoveryCache, FirstPutWins) {
   EXPECT_EQ(cache.Put(first), first);
   EXPECT_EQ(cache.Put(second), first);
   EXPECT_EQ(cache.Get(), first);
+}
+
+// SUB(Sigma) is computed once per Engine: each uncached computation
+// interns fresh variables for its renamed tgd copies, so a long-lived
+// engine must stop growing the variable table after its first call.
+TEST(EngineSubsumptionCache, LongLivedEngineInternsNoVariables) {
+  Engine engine(TriangleScenario::Sigma());
+  Instance j = TriangleScenario::Target(1, 2);
+  UnionQuery q = U("Q(x) :- Rt(x, x, y)");
+  ASSERT_TRUE(engine.Recover(j).ok());
+  ASSERT_TRUE(engine.CertainAnswers(q, j).ok());
+  const size_t variables = Symbols().variables.size();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(engine.Recover(j).ok());
+    ASSERT_TRUE(engine.CertainAnswers(q, j).ok());
+  }
+  EXPECT_EQ(Symbols().variables.size(), variables);
+}
+
+// A tripped SUB(Sigma) computation stores nothing: the trip surfaces as
+// before, and the next call on the same engine computes SUB(Sigma),
+// succeeds and stores it.
+TEST(EngineSubsumptionCache, TrippedComputationStoresNothing) {
+  Instance j = TriangleScenario::Target(1, 2);
+  for (testing::FaultKind kind : {testing::FaultKind::kBudgetExhaustion,
+                                  testing::FaultKind::kDeadline}) {
+    SCOPED_TRACE(testing::FaultKindName(kind));
+    Engine engine(TriangleScenario::Sigma(), EngineOptions().WithDegrade(true));
+    testing::FaultPlan plan;
+    plan.site = "subsumption.nodes";
+    plan.kind = kind;
+    testing::FaultInjector::Global().Arm(plan);
+    Result<InverseChaseResult> tripped = engine.Recover(j);
+    EXPECT_TRUE(testing::FaultInjector::Global().fired());
+    testing::FaultInjector::Global().Reset();
+    ASSERT_FALSE(tripped.ok());
+    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+
+    // Partial mode runs on without the filter and stores nothing either.
+    testing::FaultInjector::Global().Arm(plan);
+    auto partial = engine.RecoverDegraded(j);
+    EXPECT_TRUE(testing::FaultInjector::Global().fired());
+    testing::FaultInjector::Global().Reset();
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    EXPECT_FALSE(partial->exact());
+
+    size_t variables = Symbols().variables.size();
+    Result<InverseChaseResult> computed = engine.Recover(j);
+    ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+    EXPECT_GT(Symbols().variables.size(), variables) << "SUB(Sigma) built";
+    variables = Symbols().variables.size();
+    Result<InverseChaseResult> cached = engine.Recover(j);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(Symbols().variables.size(), variables) << "SUB(Sigma) stored";
+    EXPECT_EQ(cached->recoveries.size(), computed->recoveries.size());
+    EXPECT_EQ(cached->stats.num_covers_passing_sub,
+              computed->stats.num_covers_passing_sub);
+  }
+}
+
+// The SUB(Sigma) cache does not pin an engine in place.
+TEST(EngineSubsumptionCache, EngineStaysMovable) {
+  Engine first(TriangleScenario::Sigma());
+  Instance j = TriangleScenario::Target(1, 2);
+  Result<InverseChaseResult> before = first.Recover(j);
+  ASSERT_TRUE(before.ok());
+  const size_t variables = Symbols().variables.size();
+  Engine moved(std::move(first));
+  Result<InverseChaseResult> after = moved.Recover(j);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->recoveries.size(), before->recoveries.size());
+  EXPECT_EQ(Symbols().variables.size(), variables);
 }
 
 TEST(Datagen, RandomMappingIsWellFormed) {

@@ -2,12 +2,25 @@
 // paper's worked examples.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "base/fresh.h"
+#include "chase/chase.h"
 #include "chase/homomorphism.h"
 #include "core/certain.h"
+#include "core/cover.h"
+#include "core/hom_set.h"
 #include "core/inverse_chase.h"
 #include "core/recovery.h"
+#include "datagen/scenarios.h"
 #include "logic/parser.h"
+#include "obs/events.h"
+#include "obs/stats.h"
 #include "obs/trace.h"
+#include "relational/instance_ops.h"
 
 namespace dxrec {
 namespace {
@@ -269,6 +282,274 @@ TEST(Certain, BooleanQueryCertainty) {
   // Boolean certain-true is the singleton empty tuple.
   EXPECT_EQ(cert->size(), 1u);
   EXPECT_TRUE(cert->begin()->empty());
+}
+
+// --- Step 7's verification memo ----------------------------------------
+
+// Step 7 without the memo, assembled from the public phases: every g of
+// every cover yields a candidate that is verified on its own. Returns the
+// verified candidates (in cover, then g order) and counts the rest.
+struct ReferenceStep7 {
+  size_t candidates = 0;
+  size_t rejected = 0;
+  std::vector<Instance> verified;
+};
+
+ReferenceStep7 RunReferenceStep7(const DependencySet& sigma,
+                                 const Instance& target) {
+  ReferenceStep7 out;
+  std::vector<HeadHom> homs = ComputeHomSet(sigma, target);
+  CoverProblem problem(sigma, target, homs);
+  Result<std::vector<Cover>> covers = problem.AllCovers(CoverOptions());
+  EXPECT_TRUE(covers.ok());
+  if (!covers.ok()) return out;
+  for (const Cover& cover : *covers) {
+    std::vector<HeadHom> h_set;
+    for (size_t idx : cover) h_set.push_back(homs[idx]);
+    Instance source = SourceAtomsFor(sigma, h_set, &FreshNulls());
+    Instance chased = Chase(sigma, source, &FreshNulls());
+    HomSearchOptions options;
+    options.map_nulls = true;
+    for (Term t : target.TermsOfKind(TermKind::kNull)) options.fixed.Set(t, t);
+    for (const Substitution& g :
+         FindHomomorphisms(chased.atoms(), target, options)) {
+      Instance candidate = source.Apply(g);
+      out.candidates++;
+      bool ok = IsMinimalSolution(sigma, candidate, target);
+      if (!ok && !target.IsGround()) {
+        Result<bool> justified = IsJustifiedSolution(sigma, candidate, target);
+        ok = justified.ok() && *justified;
+      }
+      if (ok) {
+        out.verified.push_back(std::move(candidate));
+      } else {
+        out.rejected++;
+      }
+    }
+  }
+  return out;
+}
+
+// The pipeline with the SUB filter and isomorphism dedup off, so its
+// recoveries are exactly the exact-distinct verified candidates.
+InverseChaseOptions UnfilteredOptions() {
+  InverseChaseOptions options;
+  options.use_subsumption_filter = false;
+  options.dedup_isomorphic = false;
+  return options;
+}
+
+// Both lists hold the same instances up to null renaming, in any order.
+void ExpectSameUpToIsomorphism(const std::vector<Instance>& want,
+                               const std::vector<Instance>& got) {
+  std::vector<bool> matched(want.size(), false);
+  for (const Instance& g : got) {
+    bool found = false;
+    for (size_t i = 0; i < want.size() && !found; ++i) {
+      if (!matched[i] && AreIsomorphic(want[i], g)) {
+        matched[i] = true;
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << "unexpected recovery " << g.ToString();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(matched[i]) << "missing recovery " << want[i].ToString();
+  }
+}
+
+// Exact-distinct candidates of a reference run (its merge's dedup).
+std::vector<Instance> ExactDistinct(const std::vector<Instance>& all) {
+  std::set<std::string> seen;
+  std::vector<Instance> out;
+  for (const Instance& instance : all) {
+    if (seen.insert(CanonicalString(instance)).second) {
+      out.push_back(instance);
+    }
+  }
+  return out;
+}
+
+// Turns stats (and events) on for a scope and restores them after.
+class ScopedStatsAndEvents {
+ public:
+  ScopedStatsAndEvents()
+      : was_enabled_(obs::Enabled()),
+        were_events_enabled_(obs::EventsEnabled()),
+        were_stats_enabled_(obs::stats::Enabled()) {
+    obs::SetEnabled(true);
+    obs::SetEventsEnabled(true);
+    obs::stats::SetEnabled(true);
+    obs::EventSink::Global().Configure(obs::EventSink::kDefaultCapacity);
+  }
+  ~ScopedStatsAndEvents() {
+    obs::SetEnabled(was_enabled_);
+    obs::SetEventsEnabled(were_events_enabled_);
+    obs::stats::SetEnabled(were_stats_enabled_);
+  }
+
+  static std::map<std::string, size_t> EventCounts() {
+    std::map<std::string, size_t> counts;
+    for (const obs::Event& e : obs::EventSink::Global().Snapshot()) {
+      counts[e.type]++;
+    }
+    return counts;
+  }
+
+ private:
+  bool was_enabled_;
+  bool were_events_enabled_;
+  bool were_stats_enabled_;
+};
+
+// Searches one IsMinimalSolution call runs on `source`.
+uint64_t SearchesPerCheck(const DependencySet& sigma, const Instance& source,
+                          const Instance& target) {
+  obs::stats::SearchStats search;
+  obs::stats::ScopedSearch scope(&search);
+  (void)IsMinimalSolution(sigma, source, target);
+  return search.searches;
+}
+
+TEST(InverseChaseMemo, BlowupRecoveryCounts) {
+  // Post-Lemma-1 blowup at p = 2: one cover, 2^q * q^2 back-homs.
+  const size_t want[] = {1, 7, 24, 70, 190};
+  for (size_t q = 1; q <= 5; ++q) {
+    Result<InverseChaseResult> result = internal::InverseChase(
+        BlowupScenario::Sigma(), BlowupScenario::Target(2, q));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->recoveries.size(), want[q - 1]) << "q=" << q;
+  }
+}
+
+TEST(InverseChaseMemo, VerifiesEachDistinctCandidateOnce) {
+  ScopedStatsAndEvents scope;
+  DependencySet sigma = BlowupScenario::Sigma();
+  Instance j = BlowupScenario::Target(2, 4);
+  Result<InverseChaseResult> result =
+      internal::InverseChase(sigma, j, UnfilteredOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  obs::stats::RunStats run;
+  ASSERT_TRUE(obs::stats::LastRun(&run));
+  ASSERT_EQ(run.covers.size(), 1u);
+
+  // Every candidate still counts; duplicates reach merge and are deduped
+  // there, so the distinct keys are exactly the emitted recoveries.
+  const InverseChaseStats& stats = result->stats;
+  EXPECT_EQ(stats.num_recoveries_before_dedup, 256u);
+  EXPECT_EQ(stats.num_candidates_rejected, 0u);
+  const size_t distinct = result->recoveries.size();
+  EXPECT_EQ(ScopedStatsAndEvents::EventCounts()["recovery.deduped"],
+            stats.num_recoveries_before_dedup - distinct);
+  EXPECT_LT(distinct, stats.num_recoveries_before_dedup);
+  const uint64_t per_check =
+      SearchesPerCheck(sigma, result->recoveries[0], j);
+  ASSERT_GT(per_check, 0u);
+  EXPECT_EQ(run.covers[0].verify.searches, distinct * per_check);
+
+  ReferenceStep7 reference = RunReferenceStep7(sigma, j);
+  EXPECT_EQ(stats.num_recoveries_before_dedup, reference.candidates);
+  ExpectSameUpToIsomorphism(ExactDistinct(reference.verified),
+                            result->recoveries);
+}
+
+TEST(InverseChaseMemo, DuplicatesInheritRejections) {
+  // g-collapses that equate u and v create Rmr(w, w) triggers whose Umr
+  // head J lacks, and several g collapse onto each rejected candidate.
+  ScopedStatsAndEvents scope;
+  DependencySet sigma =
+      S("Rmr(x, y) -> Smr(x); Rmr(u, v) -> Tmr(v); Rmr(w, w) -> Umr(w)");
+  Instance j = I("{Smr(a), Smr(b), Tmr(a), Tmr(b), Tmr(c)}");
+  Result<InverseChaseResult> result =
+      internal::InverseChase(sigma, j, UnfilteredOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const InverseChaseStats& stats = result->stats;
+  ReferenceStep7 reference = RunReferenceStep7(sigma, j);
+  EXPECT_GT(reference.rejected, 0u);
+  EXPECT_EQ(stats.num_recoveries_before_dedup, reference.candidates);
+  EXPECT_EQ(stats.num_candidates_rejected, reference.rejected);
+  EXPECT_EQ(ScopedStatsAndEvents::EventCounts()["recovery.rejected"],
+            reference.rejected);
+  ExpectSameUpToIsomorphism(ExactDistinct(reference.verified),
+                            result->recoveries);
+
+  // Fewer verifications than candidates: the memo had duplicates to skip.
+  obs::stats::RunStats run;
+  ASSERT_TRUE(obs::stats::LastRun(&run));
+  uint64_t searches = 0;
+  for (const obs::stats::CoverStats& cover : run.covers) {
+    searches += cover.verify.searches;
+  }
+  const uint64_t per_check =
+      SearchesPerCheck(sigma, result->recoveries[0], j);
+  EXPECT_LT(searches, stats.num_recoveries_before_dedup * per_check);
+}
+
+TEST(InverseChaseMemo, TargetWithNullsVerifiesEveryCandidate) {
+  // Target nulls: no memo, so every candidate runs its own check (and
+  // the justification fallback where minimality fails). The expected
+  // counters and recoveries were recorded from the engine before the
+  // memo existed.
+  struct Case {
+    const char* sigma;
+    const char* target;
+    size_t candidates;
+    size_t rejected;
+    std::vector<std::string> recoveries;
+  };
+  const Case cases[] = {
+      {"Rmn(x, y) -> Smn(x); Rmn(u, v) -> Tmn(v)",
+       "{Smn(a), Smn(_X), Tmn(c), Tmn(_Y)}",
+       16,
+       0,
+       {"{Rmn(a, c), Rmn(a, _N0), Rmn(_N1, c)}",
+        "{Rmn(a, c), Rmn(a, _N0), Rmn(_N1, _N0)}",
+        "{Rmn(a, c), Rmn(_N0, c), Rmn(_N0, _N1)}",
+        "{Rmn(a, c), Rmn(_N0, _N1)}",
+        "{Rmn(a, c), Rmn(a, _N0), Rmn(_N1, c), Rmn(_N1, _N0)}",
+        "{Rmn(a, _N0), Rmn(_N1, c)}",
+        "{Rmn(a, _N0), Rmn(_N1, c), Rmn(_N1, _N0)}"}},
+      {"Rmq(x, y) -> Smq(x); Rmq(u, v) -> Tmq(v); Rmq(w, w) -> Umq(w)",
+       "{Smq(a), Smq(_X), Tmq(a), Tmq(_X), Tmq(c)}",
+       72,
+       64,
+       {"{Rmq(a, c), Rmq(a, _N0), Rmq(_N0, a)}",
+        "{Rmq(a, c), Rmq(a, _N0), Rmq(_N0, a), Rmq(_N0, c)}",
+        "{Rmq(a, _N0), Rmq(_N0, a), Rmq(_N0, c)}"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.target);
+    ScopedStatsAndEvents scope;
+    DependencySet sigma = S(c.sigma);
+    Instance j = I(c.target);
+    Result<InverseChaseResult> recorded = internal::InverseChase(sigma, j);
+    ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+    EXPECT_EQ(recorded->stats.num_recoveries_before_dedup, c.candidates);
+    EXPECT_EQ(recorded->stats.num_candidates_rejected, c.rejected);
+    std::vector<std::string> got;
+    for (const Instance& recovery : recorded->recoveries) {
+      got.push_back(CanonicalString(recovery));
+    }
+    EXPECT_EQ(got, c.recoveries);
+
+    Result<InverseChaseResult> result =
+        internal::InverseChase(sigma, j, UnfilteredOptions());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const InverseChaseStats& stats = result->stats;
+    ReferenceStep7 reference = RunReferenceStep7(sigma, j);
+    EXPECT_EQ(stats.num_recoveries_before_dedup, reference.candidates);
+    EXPECT_EQ(stats.num_candidates_rejected, reference.rejected);
+    ExpectSameUpToIsomorphism(ExactDistinct(reference.verified),
+                              result->recoveries);
+
+    obs::stats::RunStats run;
+    ASSERT_TRUE(obs::stats::LastRun(&run));
+    ASSERT_EQ(run.covers.size(), 1u);
+    const uint64_t per_check =
+        SearchesPerCheck(sigma, result->recoveries[0], j);
+    EXPECT_GE(run.covers[0].verify.searches,
+              stats.num_recoveries_before_dedup * per_check);
+  }
 }
 
 }  // namespace

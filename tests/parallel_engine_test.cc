@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -135,6 +136,38 @@ TEST(ParallelEngine, TriangleByteIdenticalAcrossThreadCounts) {
 TEST(ParallelEngine, EmployeeByteIdenticalAcrossThreadCounts) {
   ExpectThreadCountInvariant(EmployeeScenario::Sigma(),
                              EmployeeScenario::Target(2, 2, 2));
+}
+
+// Step 7 verifies each distinct candidate once (docs/PARALLELISM.md):
+// candidates are keyed in the pooled slices, representatives picked
+// serially, verified in a second fan-out and assembled in g order, so
+// duplicates count, reject and emit events exactly as at threads=1.
+TEST(ParallelEngine, StepSevenMemoIdenticalAtOneAndFourThreads) {
+  Result<DependencySet> rejecting = ParseTgdSet(
+      "Rpm(x, y) -> Spm(x); Rpm(u, v) -> Tpm(v); Rpm(w, w) -> Upm(w)");
+  ASSERT_TRUE(rejecting.ok());
+  Result<Instance> rejecting_target =
+      ParseInstance("{Spm(a), Spm(b), Tpm(a), Tpm(b), Tpm(c)}");
+  ASSERT_TRUE(rejecting_target.ok());
+  const std::pair<DependencySet, Instance> cases[] = {
+      {BlowupScenario::Sigma(), BlowupScenario::Target(2, 4)},
+      {BlowupScenario::Sigma(), BlowupScenario::Target(3, 3)},
+      {std::move(*rejecting), std::move(*rejecting_target)},
+  };
+  for (const auto& [sigma, target] : cases) {
+    SCOPED_TRACE(target.ToString());
+    RunSnapshot sequential = SnapshotRecover(sigma, target, 1);
+    RunSnapshot pooled = SnapshotRecover(sigma, target, 4);
+    ASSERT_FALSE(sequential.recoveries.empty());
+    EXPECT_GT(sequential.event_counts["recovery.deduped"], 0u);
+    EXPECT_EQ(sequential.recoveries, pooled.recoveries);
+    EXPECT_EQ(sequential.event_counts, pooled.event_counts);
+    EXPECT_EQ(sequential.num_recoveries_before_dedup,
+              pooled.num_recoveries_before_dedup);
+    EXPECT_EQ(sequential.num_candidates_rejected,
+              pooled.num_candidates_rejected);
+    EXPECT_TRUE(sequential == pooled);
+  }
 }
 
 TEST(ParallelEngine, CertainAnswersMatchAcrossThreadCounts) {

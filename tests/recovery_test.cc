@@ -2,7 +2,12 @@
 // checks.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "base/fresh.h"
 #include "core/recovery.h"
+#include "datagen/generators.h"
 #include "logic/parser.h"
 
 namespace dxrec {
@@ -117,6 +122,89 @@ TEST(Recovery, JustificationBudget) {
   Result<bool> r = IsJustifiedSolution(sigma, i, j, tight);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Def. 1 read literally: (I, J) |= Sigma, and removing any single tuple
+// of J breaks it (satisfaction is monotone in J).
+bool MinimalByDefinition(const DependencySet& sigma, const Instance& source,
+                         const Instance& target) {
+  if (!SatisfiesPair(sigma, source, target)) return false;
+  for (const Atom& removed : target.atoms()) {
+    Instance smaller;
+    for (const Atom& a : target.atoms()) {
+      if (!(a == removed)) smaller.Add(a);
+    }
+    if (SatisfiesPair(sigma, source, smaller)) return false;
+  }
+  return true;
+}
+
+// `source` with one of its constants replaced by a null, so trigger
+// images carry nulls as recovery candidates g(I_H) do.
+Instance WithANull(const Instance& source, Rng* rng) {
+  std::vector<Term> constants = source.TermsOfKind(TermKind::kConstant);
+  if (constants.empty()) return source;
+  const Term replaced = rng->Pick(constants);
+  const Term null = FreshNulls().Fresh();
+  Instance out;
+  for (const Atom& a : source.atoms()) {
+    std::vector<Term> args = a.args();
+    for (Term& t : args) {
+      if (t == replaced) t = null;
+    }
+    out.Add(Atom(a.relation(), std::move(args)));
+  }
+  return out;
+}
+
+TEST(Recovery, MinimalSolutionAgreesWithDefinitionOnGeneratedCorpus) {
+  // Mappings mixing full tgds (the fast path: the body match fixes the
+  // head image) with existential ones (the head-match intersection).
+  size_t full_tgds = 0;
+  size_t existential_tgds = 0;
+  size_t minimal = 0;
+  size_t not_minimal = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(9000 + seed);
+    MappingSpec spec;
+    spec.num_tgds = 3;
+    spec.max_arity = 2;
+    spec.frontier_prob = 0.8;
+    const std::string tag = "rmo" + std::to_string(seed);
+    DependencySet sigma = RandomMapping(spec, tag, &rng);
+    for (const Tgd& tgd : sigma.tgds()) {
+      (tgd.IsFull() ? full_tgds : existential_tgds)++;
+    }
+    SourceSpec source_spec;
+    source_spec.num_tuples = 4;
+    source_spec.num_constants = 4;
+    Instance source = RandomSource(sigma, source_spec, tag, &rng);
+    Instance other = RandomSource(sigma, source_spec, tag, &rng);
+
+    Instance ground = ChaseTarget(sigma, source, /*ground=*/true);
+    Instance with_nulls = ChaseTarget(sigma, source, /*ground=*/false);
+    Instance padded = ground;
+    padded.AddAll(ChaseTarget(sigma, other, /*ground=*/true));
+    Instance trimmed;
+    for (size_t k = 1; k < ground.atoms().size(); ++k) {
+      trimmed.Add(ground.atoms()[k]);
+    }
+    const Instance sources[] = {source, WithANull(source, &rng)};
+    const Instance targets[] = {ground, with_nulls, padded, trimmed};
+    for (const Instance& i : sources) {
+      for (const Instance& j : targets) {
+        const bool want = MinimalByDefinition(sigma, i, j);
+        EXPECT_EQ(IsMinimalSolution(sigma, i, j), want)
+            << sigma.ToString() << "\nI = " << i.ToString()
+            << "\nJ = " << j.ToString();
+        (want ? minimal : not_minimal)++;
+      }
+    }
+  }
+  EXPECT_GT(full_tgds, 0u);
+  EXPECT_GT(existential_tgds, 0u);
+  EXPECT_GT(minimal, 0u);
+  EXPECT_GT(not_minimal, 0u);
 }
 
 }  // namespace
