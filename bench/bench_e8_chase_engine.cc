@@ -18,6 +18,7 @@
 #include "datagen/generators.h"
 #include "datagen/scenarios.h"
 #include "logic/parser.h"
+#include "obs/alloc.h"
 #include "obs/profiler.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -45,6 +46,20 @@ Instance BenchSource(size_t n) {
          Term::Constant("e8c" + std::to_string(rng.Index(constants)))}));
   }
   return out;
+}
+
+// Heap blocks one more call of `body` allocates on this thread, teed as
+// the `allocs_per_iter` counter. Accounting (the obs::alloc operator new
+// override) is on only for this untimed call, so timings stay clean.
+template <typename Body>
+void ReportAllocsPerIter(benchmark::State& state, const Body& body) {
+  const bool was_enabled = obs::alloc::Enabled();
+  obs::alloc::SetEnabled(true);
+  const int64_t before = obs::alloc::Snapshot().allocations;
+  body();
+  const int64_t allocations = obs::alloc::Snapshot().allocations - before;
+  obs::alloc::SetEnabled(was_enabled);
+  state.counters["allocs_per_iter"] = static_cast<double>(allocations);
 }
 
 void BM_FindTriggers(benchmark::State& state) {
@@ -197,10 +212,15 @@ void BM_InverseChase(benchmark::State& state) {
   InverseChaseOptions options;
   options.max_g_homs_per_cover = 1u << 20;
   options.num_threads = static_cast<size_t>(state.range(1));
-  for (auto _ : state) {
-    Result<InverseChaseResult> result = internal::InverseChase(sigma, j, options);
+  auto body = [&] {
+    Result<InverseChaseResult> result =
+        internal::InverseChase(sigma, j, options);
     benchmark::DoNotOptimize(result.ok());
-  }
+  };
+  for (auto _ : state) body();
+  // Counters are per thread: pool workers' blocks would go uncounted, so
+  // only the sequential row reports them.
+  if (options.num_threads == 1) ReportAllocsPerIter(state, body);
 }
 BENCHMARK(BM_InverseChase)
     ->ArgNames({"q", "threads"})
@@ -224,9 +244,11 @@ void BM_IsMinimalSolution(benchmark::State& state) {
   }
   const Instance& recovery = chased->recoveries[0];
   recovery.WarmColumnar();
-  for (auto _ : state) {
+  auto body = [&] {
     benchmark::DoNotOptimize(IsMinimalSolution(sigma, recovery, j));
-  }
+  };
+  for (auto _ : state) body();
+  ReportAllocsPerIter(state, body);
 }
 BENCHMARK(BM_IsMinimalSolution)
     ->ArgNames({"n"})
@@ -241,13 +263,15 @@ void BM_AllCovers(benchmark::State& state) {
   DependencySet sigma = ProjectionScenario::Sigma();
   Instance j = ProjectionScenario::Target(static_cast<size_t>(state.range(0)));
   std::vector<HeadHom> homs = ComputeHomSet(sigma, j);
-  for (auto _ : state) {
+  auto body = [&] {
     CoverProblem problem(sigma, j, homs);
     std::vector<Cover> covers;
     Status status = problem.AllCoversInto(CoverOptions(), &covers);
     benchmark::DoNotOptimize(status.ok());
     benchmark::DoNotOptimize(covers.size());
-  }
+  };
+  for (auto _ : state) body();
+  ReportAllocsPerIter(state, body);
 }
 BENCHMARK(BM_AllCovers)
     ->ArgNames({"n"})

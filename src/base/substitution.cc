@@ -4,16 +4,80 @@
 
 namespace dxrec {
 
-Substitution::Substitution(
-    std::initializer_list<std::pair<Term, Term>> bindings) {
+Substitution::Substitution(std::initializer_list<Binding> bindings) {
   for (const auto& [from, to] : bindings) Set(from, to);
 }
 
-void Substitution::Set(Term from, Term to) { map_[from] = to; }
+Substitution::Substitution(const Substitution& other)
+    : bindings_(other.bindings_),
+      index_(other.index_ == nullptr ? nullptr
+                                     : std::make_unique<Index>(*other.index_)) {
+}
 
-Term Substitution::Apply(Term t) const {
-  auto it = map_.find(t);
-  return it == map_.end() ? t : it->second;
+Substitution& Substitution::operator=(const Substitution& other) {
+  if (this != &other) {
+    bindings_ = other.bindings_;
+    index_ = other.index_ == nullptr ? nullptr
+                                     : std::make_unique<Index>(*other.index_);
+  }
+  return *this;
+}
+
+Substitution Substitution::FromDistinct(std::vector<Binding> bindings) {
+  Substitution out;
+  out.bindings_ = std::move(bindings);
+  if (out.bindings_.size() > kLinearMax) out.RebuildIndex();
+  return out;
+}
+
+const Substitution::Binding* Substitution::Find(Term t) const {
+  if (index_ == nullptr) {
+    for (const Binding& b : bindings_) {
+      if (b.first == t) return &b;
+    }
+    return nullptr;
+  }
+  for (size_t i = TermHash()(t) & index_->mask();;
+       i = (i + 1) & index_->mask()) {
+    const uint32_t pos = index_->slots[i];
+    if (pos == Index::kEmpty) return nullptr;
+    if (bindings_[pos].first == t) return &bindings_[pos];
+  }
+}
+
+void Substitution::IndexPosition(uint32_t pos) {
+  size_t i = TermHash()(bindings_[pos].first) & index_->mask();
+  while (index_->slots[i] != Index::kEmpty) i = (i + 1) & index_->mask();
+  index_->slots[i] = pos;
+}
+
+void Substitution::RebuildIndex() {
+  size_t capacity = 2 * kLinearMax;
+  while (capacity < 2 * bindings_.size()) capacity *= 2;
+  if (index_ == nullptr) index_ = std::make_unique<Index>();
+  index_->slots.assign(capacity, Index::kEmpty);
+  for (uint32_t pos = 0; pos < bindings_.size(); ++pos) IndexPosition(pos);
+}
+
+void Substitution::Append(Term from, Term to) {
+  bindings_.emplace_back(from, to);
+  if (bindings_.size() <= kLinearMax) return;
+  if (index_ == nullptr || 2 * bindings_.size() > index_->slots.size()) {
+    RebuildIndex();
+  } else {
+    IndexPosition(static_cast<uint32_t>(bindings_.size() - 1));
+  }
+}
+
+void Substitution::Set(Term from, Term to) {
+  // Find returns a pointer into bindings_; overwriting in place keeps the
+  // index valid.
+  const Binding* b = Find(from);
+  if (b != nullptr) {
+    bindings_[b - bindings_.data()].second = to;
+  } else {
+    Append(from, to);
+  }
 }
 
 std::vector<Term> Substitution::Apply(const std::vector<Term>& terms) const {
@@ -23,20 +87,22 @@ std::vector<Term> Substitution::Apply(const std::vector<Term>& terms) const {
   return out;
 }
 
-bool Substitution::Binds(Term t) const { return map_.count(t) > 0; }
-
 bool Substitution::Unify(Term from, Term to) {
-  auto it = map_.find(from);
-  if (it != map_.end()) return it->second == to;
-  map_.emplace(from, to);
+  const Binding* b = Find(from);
+  if (b != nullptr) return b->second == to;
+  Append(from, to);
   return true;
 }
 
 Substitution Substitution::Compose(const Substitution& g) const {
-  Substitution out;
-  for (const auto& [from, to] : g.map_) out.Set(from, Apply(to));
-  for (const auto& [from, to] : map_) {
-    if (!out.Binds(from)) out.Set(from, to);
+  std::vector<Binding> bindings;
+  bindings.reserve(g.size() + size());
+  for (const auto& [from, to] : g.bindings_) {
+    bindings.emplace_back(from, Apply(to));
+  }
+  Substitution out = FromDistinct(std::move(bindings));
+  for (const auto& [from, to] : bindings_) {
+    if (!g.Binds(from)) out.Append(from, to);
   }
   return out;
 }
@@ -44,29 +110,29 @@ Substitution Substitution::Compose(const Substitution& g) const {
 Substitution Substitution::Restrict(const std::vector<Term>& domain) const {
   Substitution out;
   for (Term t : domain) {
-    auto it = map_.find(t);
-    if (it != map_.end()) out.Set(t, it->second);
+    const Binding* b = Find(t);
+    if (b != nullptr) out.Set(t, b->second);
   }
   return out;
 }
 
 bool Substitution::Extends(const Substitution& other) const {
-  for (const auto& [from, to] : other.map_) {
-    auto it = map_.find(from);
-    if (it == map_.end() || it->second != to) return false;
+  for (const auto& [from, to] : other.bindings_) {
+    const Binding* b = Find(from);
+    if (b == nullptr || b->second != to) return false;
   }
   return true;
 }
 
 bool Substitution::MergeFrom(const Substitution& other) {
-  for (const auto& [from, to] : other.map_) {
+  for (const auto& [from, to] : other.bindings_) {
     if (!Unify(from, to)) return false;
   }
   return true;
 }
 
 std::string Substitution::ToString() const {
-  std::vector<std::pair<Term, Term>> sorted(map_.begin(), map_.end());
+  std::vector<Binding> sorted = bindings_;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::string out = "{";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -90,7 +91,9 @@ class ColumnarMatcher {
     quiet_ = true;
     if (!SeedFixed()) return false;
     order_ = ChooseOrder();
-    *roots = *CandidatesFor(0, &root_indexed_);
+    const std::span<const uint32_t> candidates =
+        CandidatesFor(0, &root_indexed_);
+    roots->assign(candidates.begin(), candidates.end());
     root_relation_ = compiled_[order_[0]].rel;
     return true;
   }
@@ -98,12 +101,13 @@ class ColumnarMatcher {
   // Explores only the given slice of root candidates (a contiguous run
   // of PlanRoot's list, so slice-order concatenation across chunks
   // reproduces the sequential enumeration order).
-  void RunChunk(const std::vector<uint32_t>& root_slice) {
+  void RunChunk(std::span<const uint32_t> root_slice) {
     quiet_ = true;
     if (!SeedFixed()) return;
     order_ = ChooseOrder();
     BuildDepthSlots();
-    root_slice_ = &root_slice;
+    root_slice_ = root_slice;
+    chunked_ = true;
     Recurse(0);
   }
 
@@ -189,6 +193,7 @@ class ColumnarMatcher {
       compiled_.push_back(std::move(c));
     }
     slot_values_.assign(slot_terms_.size(), kUnbound);
+    newly_bound_.reserve(slot_terms_.size());
   }
 
   // Seeds bindings from options.fixed for placeholders occurring in the
@@ -315,35 +320,35 @@ class ColumnarMatcher {
   // Candidate rows for the atom at order_[depth]: the tightest postings
   // list among bound argument positions (every bound position is probed),
   // else the whole relation. *indexed reports which access path won.
-  const std::vector<uint32_t>* CandidatesFor(size_t depth,
-                                             bool* indexed) const {
+  std::span<const uint32_t> CandidatesFor(size_t depth, bool* indexed) const {
     const CompiledAtom& atom = compiled_[order_[depth]];
-    const std::vector<uint32_t>* candidates = nullptr;
+    std::span<const uint32_t> candidates;
+    *indexed = false;
     for (uint32_t pos = 0; pos < atom.arity; ++pos) {
       const ArgRef arg = atom.args[pos];
       const uint32_t image =
           arg.is_slot ? slot_values_[arg.value] : arg.value;
       if (image == kUnbound) continue;
-      const std::vector<uint32_t>& list =
+      const std::span<const uint32_t> list =
           columnar_.Probe(atom.rel, pos, image);
-      if (candidates == nullptr || list.size() < candidates->size()) {
-        candidates = &list;
-      }
+      if (!*indexed || list.size() < candidates.size()) candidates = list;
+      *indexed = true;
     }
-    *indexed = candidates != nullptr;
-    if (candidates == nullptr) candidates = &columnar_.Rows(atom.rel);
+    if (!*indexed) candidates = columnar_.Rows(atom.rel);
     return candidates;
   }
 
   void Recurse(size_t depth) {
     if (stopped_) return;
     if (depth == compiled_.size()) {
-      Substitution result;
+      // Slots are distinct placeholders, so the result needs no lookups.
+      std::vector<Substitution::Binding> bindings;
+      bindings.reserve(slot_terms_.size());
       for (size_t i = 0; i < slot_terms_.size(); ++i) {
-        result.Set(slot_terms_[i], TermForCode(slot_values_[i]));
+        bindings.emplace_back(slot_terms_[i], TermForCode(slot_values_[i]));
       }
       ++results_;
-      if (!callback_(result)) {
+      if (!callback_(Substitution::FromDistinct(std::move(bindings)))) {
         stopped_ = true;  // caller asked to stop; not a truncation
       } else if (results_ >= options_.max_results) {
         // Silent cutoff made visible: the caller sees max_results homs
@@ -354,13 +359,13 @@ class ColumnarMatcher {
       return;
     }
     const CompiledAtom& atom = compiled_[order_[depth]];
-    const std::vector<uint32_t>* candidates;
-    if (depth == 0 && root_slice_ != nullptr) {
+    std::span<const uint32_t> candidates;
+    if (depth == 0 && chunked_) {
       candidates = root_slice_;
       // Chunk mode: the driver records the root list acquisition once;
       // each chunk accounts only the candidates its slice feeds it, so
       // slice-order merging reproduces the sequential scan counts.
-      if (stats_on_) depth_slots_[0]->tuples_scanned += candidates->size();
+      if (stats_on_) depth_slots_[0]->tuples_scanned += candidates.size();
     } else {
       bool indexed = false;
       candidates = CandidatesFor(depth, &indexed);
@@ -368,12 +373,13 @@ class ColumnarMatcher {
         obs::stats::RelationAccess* slot = depth_slots_[depth];
         ++slot->lists;
         if (indexed) ++slot->indexed_lists;
-        slot->tuples_scanned += candidates->size();
+        slot->tuples_scanned += candidates.size();
       }
     }
 
-    std::vector<uint32_t> newly_bound;
-    for (uint32_t row : *candidates) {
+    // This frame's bindings sit above `mark` on the shared stack.
+    const size_t mark = newly_bound_.size();
+    for (uint32_t row : candidates) {
       if (atom.crel->arity(row) != atom.arity) continue;
       ++candidates_tried_;
       if ((candidates_tried_ & 0xFFFF) == 0) {
@@ -397,7 +403,6 @@ class ColumnarMatcher {
           return;
         }
       }
-      newly_bound.clear();
       bool ok = true;
       for (uint32_t pos = 0; pos < atom.arity && ok; ++pos) {
         const ArgRef arg = atom.args[pos];
@@ -409,7 +414,7 @@ class ColumnarMatcher {
           if (image != kUnbound) {
             ok = (image == tuple_code);
           } else if (TryBindSlot(arg.value, tuple_code)) {
-            newly_bound.push_back(arg.value);
+            newly_bound_.push_back(arg.value);
           } else {
             ok = false;
           }
@@ -421,8 +426,9 @@ class ColumnarMatcher {
       } else {
         ++backtracks_;
       }
-      for (auto it = newly_bound.rbegin(); it != newly_bound.rend(); ++it) {
-        UnbindSlot(*it);
+      while (newly_bound_.size() > mark) {
+        UnbindSlot(newly_bound_.back());
+        newly_bound_.pop_back();
       }
       if (stopped_) return;
     }
@@ -443,7 +449,10 @@ class ColumnarMatcher {
   std::vector<uint32_t> slot_values_;
 
   std::vector<size_t> order_;
-  const std::vector<uint32_t>* root_slice_ = nullptr;
+  // Slots bound by the frames on the recursion path, innermost last.
+  std::vector<uint32_t> newly_bound_;
+  std::span<const uint32_t> root_slice_;
+  bool chunked_ = false;  // chunk mode: depth 0 scans root_slice_
   bool quiet_ = false;  // chunk mode: driver owns telemetry
   // Access-path stats: the gate is sampled once per search (one relaxed
   // load), so the disabled inner loop pays a predictable branch only.
@@ -476,11 +485,11 @@ HomSearchResult SearchParallel(const std::vector<Atom>& pattern,
   util::ThreadPool* pool = options.pool;
   const size_t num_chunks =
       std::min(roots.size(), (pool->num_threads() + 1) * 4);
-  std::vector<std::vector<uint32_t>> slices(num_chunks);
+  std::vector<std::span<const uint32_t>> slices(num_chunks);
   for (size_t c = 0; c < num_chunks; ++c) {
     const size_t lo = roots.size() * c / num_chunks;
     const size_t hi = roots.size() * (c + 1) / num_chunks;
-    slices[c].assign(roots.begin() + lo, roots.begin() + hi);
+    slices[c] = std::span<const uint32_t>(roots).subspan(lo, hi - lo);
   }
 
   struct ChunkResult {

@@ -1,7 +1,10 @@
 #include "core/recovery.h"
 
+#include <algorithm>
 #include <functional>
+#include <optional>
 #include <unordered_set>
+#include <vector>
 
 #include "base/fresh.h"
 #include "chase/chase.h"
@@ -24,7 +27,8 @@ bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
   // trigger. Computing those intersections directly (with early exit
   // once an intersection empties) avoids |J| full re-checks. A full tgd
   // needs no head search at all (see below).
-  std::unordered_set<Atom, AtomHash> needed;
+  // needed[i]: target atom i lies in some trigger's match-intersection.
+  std::vector<bool> needed(target.size(), false);
   for (TgdId id = 0; id < sigma.size(); ++id) {
     const Tgd& tgd = sigma.at(id);
     bool all_triggers_satisfied = true;
@@ -35,12 +39,13 @@ bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
           tgd.body(), source, HomSearchOptions(),
           [&](const Substitution& h) {
             for (const Atom& a : tgd.head()) {
-              Atom image = a.Apply(h);
-              if (!target.Contains(image)) {
+              const std::optional<uint32_t> index =
+                  target.IndexOf(a.Apply(h));
+              if (!index.has_value()) {
                 all_triggers_satisfied = false;
                 return false;
               }
-              needed.insert(std::move(image));
+              needed[*index] = true;
             }
             return true;
           });
@@ -53,23 +58,33 @@ bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
           HomSearchOptions head_options;
           head_options.fixed = h;
           bool first = true;
-          std::unordered_set<Atom, AtomHash> common;
+          // Target indices of the atoms every head match so far contains.
+          std::vector<uint32_t> common;
+          std::vector<uint32_t> atoms;
           ForEachHomomorphism(
               tgd.head(), target, head_options,
               [&](const Substitution& match) {
-                std::unordered_set<Atom, AtomHash> atoms;
+                // A match maps the head into J, so every image is there.
+                atoms.clear();
                 for (const Atom& a : tgd.head()) {
-                  atoms.insert(a.Apply(match));
+                  if (std::optional<uint32_t> index =
+                          target.IndexOf(a.Apply(match))) {
+                    atoms.push_back(*index);
+                  }
                 }
+                std::sort(atoms.begin(), atoms.end());
                 if (first) {
-                  common = std::move(atoms);
+                  common.assign(atoms.begin(), atoms.end());
                   first = false;
                 } else {
-                  std::unordered_set<Atom, AtomHash> kept;
-                  for (const Atom& a : common) {
-                    if (atoms.count(a) > 0) kept.insert(a);
+                  size_t kept = 0;
+                  for (uint32_t index : common) {
+                    if (std::binary_search(atoms.begin(), atoms.end(),
+                                           index)) {
+                      common[kept++] = index;
+                    }
                   }
-                  common = std::move(kept);
+                  common.resize(kept);
                 }
                 // Stop enumerating matches once nothing is forced.
                 return !common.empty();
@@ -79,15 +94,13 @@ bool IsMinimalSolution(const DependencySet& sigma, const Instance& source,
             all_triggers_satisfied = false;
             return false;
           }
-          for (const Atom& a : common) needed.insert(a);
+          for (uint32_t index : common) needed[index] = true;
           return true;
         });
     if (!all_triggers_satisfied) return false;
   }
-  for (const Atom& tuple : target.atoms()) {
-    if (needed.count(tuple) == 0) return false;  // removable
-  }
-  return true;
+  // A tuple outside every intersection is removable.
+  return std::find(needed.begin(), needed.end(), false) == needed.end();
 }
 
 namespace {

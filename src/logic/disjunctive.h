@@ -14,6 +14,7 @@
 #define DXREC_LOGIC_DISJUNCTIVE_H_
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "base/fresh.h"

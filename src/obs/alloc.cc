@@ -46,6 +46,7 @@ namespace internal2 {
 
 void OnAlloc(void* ptr, size_t requested) {
   const int64_t bytes = UsableSize(ptr, requested);
+  ++t_counters.allocations;
   t_counters.allocated += bytes;
   t_counters.live += bytes;
   t_counters.peak_live = std::max(t_counters.peak_live, t_counters.live);

@@ -1,8 +1,8 @@
 // Per-phase heap accounting via a global operator new/delete override.
 //
 // When enabled (the profiler turns it on), every allocation updates
-// plain thread-local counters: bytes allocated, bytes freed, live bytes,
-// and the high-water mark of live bytes. Sizes come from
+// plain thread-local counters: blocks allocated, bytes allocated, bytes
+// freed, live bytes, and the high-water mark of live bytes. Sizes come from
 // malloc_usable_size so frees are accounted exactly without per-block
 // headers. When disabled the override costs one relaxed atomic load per
 // call.
@@ -35,10 +35,11 @@ void SetEnabled(bool enabled);
 // This thread's counters since tracking was enabled. Monotone except
 // `live`/`peak_live`, which move with frees and AllocScope resets.
 struct ThreadCounters {
-  int64_t allocated = 0;  // total bytes ever allocated
-  int64_t freed = 0;      // total bytes ever freed
-  int64_t live = 0;       // allocated - freed
-  int64_t peak_live = 0;  // high-water mark of live
+  int64_t allocations = 0;  // total blocks ever allocated
+  int64_t allocated = 0;    // total bytes ever allocated
+  int64_t freed = 0;        // total bytes ever freed
+  int64_t live = 0;         // allocated - freed
+  int64_t peak_live = 0;    // high-water mark of live
 };
 ThreadCounters Snapshot();
 

@@ -7,15 +7,6 @@
 
 namespace dxrec {
 
-namespace {
-
-const std::vector<uint32_t>& EmptyRowVector() {
-  static const std::vector<uint32_t>& empty = *new std::vector<uint32_t>();
-  return empty;
-}
-
-}  // namespace
-
 uint32_t TermDictionary::Encode(Term t) {
   auto [it, inserted] =
       codes_.try_emplace(t, static_cast<uint32_t>(terms_.size()));
@@ -28,12 +19,19 @@ uint32_t TermDictionary::Find(Term t) const {
   return it == codes_.end() ? kNoCode : it->second;
 }
 
-const std::vector<uint32_t>& ColumnarRelation::Postings(uint32_t pos,
-                                                        uint32_t code) const {
-  if (pos >= postings_.size()) return EmptyRowVector();
-  auto it = postings_[pos].find(code);
-  if (it == postings_[pos].end()) return EmptyRowVector();
-  return it->second;
+std::span<const uint32_t> ColumnarRelation::Postings(uint32_t pos,
+                                                     uint32_t code) const {
+  if (pos >= postings_.size()) return {};
+  const PositionPostings& p = postings_[pos];
+  const size_t mask = p.directory.size() - 1;
+  for (size_t i = HomeSlot(code, p.shift);; i = (i + 1) & mask) {
+    const CodeRun& run = p.directory[i];
+    // An empty slot ends the probe (and serves a kNoCode probe as an
+    // empty run).
+    if (run.code == code || run.code == TermDictionary::kNoCode) {
+      return std::span<const uint32_t>(p.rows).subspan(run.begin, run.size);
+    }
+  }
 }
 
 ColumnarInstance::ColumnarInstance(const Instance& instance) {
@@ -55,25 +53,58 @@ ColumnarInstance::ColumnarInstance(const Instance& instance) {
     if (!rel.arities_.empty()) rel.arities_.push_back(a.arity());
     rel.rows_.push_back(i);
   }
-  // Second pass: columns (kNoCode-padded to the widest arity) and
-  // per-position postings, in row order so lists come out ascending.
+  // Second pass: columns (kNoCode-padded to the widest arity), then each
+  // position's postings: its (code, row) pairs in sorted order, so every
+  // code's run of rows comes out ascending, and the directory of runs.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::vector<ColumnarRelation::CodeRun> runs;
   for (auto& [rel_id, rel] : relations_) {
     (void)rel_id;
-    uint32_t width = rel.uniform_arity_;
-    for (uint32_t arity : rel.arities_) width = std::max(width, arity);
-    rel.columns_.assign(width, std::vector<uint32_t>(
-                                   rel.rows_.size(), TermDictionary::kNoCode));
-    rel.postings_.resize(width);
-    rel.locals_.resize(rel.rows_.size());
-    for (uint32_t row = 0; row < rel.locals_.size(); ++row) {
-      rel.locals_[row] = row;
+    const uint32_t num_rows = static_cast<uint32_t>(rel.rows_.size());
+    rel.width_ = rel.uniform_arity_;
+    for (uint32_t arity : rel.arities_) {
+      rel.width_ = std::max(rel.width_, arity);
     }
-    for (uint32_t row = 0; row < rel.rows_.size(); ++row) {
+    rel.columns_.assign(size_t{rel.width_} * num_rows,
+                        TermDictionary::kNoCode);
+    rel.locals_.resize(num_rows);
+    for (uint32_t row = 0; row < num_rows; ++row) {
+      rel.locals_[row] = row;
       const Atom& a = atoms[rel.rows_[row]];
       for (uint32_t pos = 0; pos < a.arity(); ++pos) {
-        uint32_t code = dict_.Find(a.arg(pos));
-        rel.columns_[pos][row] = code;
-        rel.postings_[pos][code].push_back(row);
+        rel.columns_[size_t{pos} * num_rows + row] = dict_.Find(a.arg(pos));
+      }
+    }
+    rel.postings_.resize(rel.width_);
+    for (uint32_t pos = 0; pos < rel.width_; ++pos) {
+      pairs.clear();
+      for (uint32_t row = 0; row < num_rows; ++row) {
+        const uint32_t code = rel.code(pos, row);
+        if (code != TermDictionary::kNoCode) pairs.emplace_back(code, row);
+      }
+      std::sort(pairs.begin(), pairs.end());
+      ColumnarRelation::PositionPostings& p = rel.postings_[pos];
+      p.rows.reserve(pairs.size());
+      runs.clear();
+      for (const auto& [code, row] : pairs) {
+        if (runs.empty() || runs.back().code != code) {
+          runs.push_back({code, static_cast<uint32_t>(p.rows.size()), 0});
+        }
+        ++runs.back().size;
+        p.rows.push_back(row);
+      }
+      uint32_t log2_capacity = 1;
+      while ((size_t{1} << log2_capacity) < 2 * runs.size()) ++log2_capacity;
+      p.shift = 64 - log2_capacity;
+      p.directory.assign(size_t{1} << log2_capacity,
+                         ColumnarRelation::CodeRun());
+      const size_t mask = p.directory.size() - 1;
+      for (const ColumnarRelation::CodeRun& run : runs) {
+        size_t i = ColumnarRelation::HomeSlot(run.code, p.shift);
+        while (p.directory[i].code != TermDictionary::kNoCode) {
+          i = (i + 1) & mask;
+        }
+        p.directory[i] = run;
       }
     }
   }
@@ -84,19 +115,19 @@ const ColumnarRelation* ColumnarInstance::Relation(RelationId rel) const {
   return it == relations_.end() ? nullptr : &it->second;
 }
 
-const std::vector<uint32_t>& ColumnarInstance::Rows(RelationId rel) const {
+std::span<const uint32_t> ColumnarInstance::Rows(RelationId rel) const {
   obs::stats::NoteFullScan();
   auto it = relations_.find(rel);
-  if (it == relations_.end()) return EmptyRowVector();
+  if (it == relations_.end()) return {};
   return it->second.locals_;
 }
 
-const std::vector<uint32_t>& ColumnarInstance::Probe(RelationId rel,
-                                                     uint32_t pos,
-                                                     uint32_t code) const {
+std::span<const uint32_t> ColumnarInstance::Probe(RelationId rel,
+                                                  uint32_t pos,
+                                                  uint32_t code) const {
   obs::stats::NoteIndexProbe();
   auto it = relations_.find(rel);
-  if (it == relations_.end()) return EmptyRowVector();
+  if (it == relations_.end()) return {};
   return it->second.Postings(pos, code);
 }
 

@@ -4,10 +4,11 @@
 // interned into a dense uint32 code (TermDictionary), each relation's
 // tuples are stored column-major (one code vector per argument position),
 // and every (position, code) pair carries a postings list of matching
-// rows. The homomorphism matcher runs entirely in code space on top of
-// these lists — an index-nested-loop join over candidate postings instead
-// of backtracking over materialized Atom vectors (Hyrise's chunked
-// storage / tuple-materialization-free reading is the idiom).
+// rows (a run in that position's code-sorted row array). The
+// homomorphism matcher runs entirely in code space on top of these
+// lists — an index-nested-loop join over candidate postings instead of
+// backtracking over materialized Atom vectors (Hyrise's chunked storage
+// / tuple-materialization-free reading is the idiom).
 //
 // Contract (docs/STORAGE.md):
 //   - rows are numbered in Instance insertion order per relation, so
@@ -24,6 +25,7 @@
 #define DXREC_RELATIONAL_COLUMNAR_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +70,7 @@ class ColumnarRelation {
  public:
   // Widest arity stored (relations may mix arities; the untyped schema
   // allows it, and the matcher filters per row).
-  uint32_t width() const { return static_cast<uint32_t>(columns_.size()); }
+  uint32_t width() const { return width_; }
   size_t num_rows() const { return rows_.size(); }
 
   // Global atom indices, ascending (== per-relation insertion order).
@@ -80,15 +82,36 @@ class ColumnarRelation {
 
   // The code at (pos, row); kNoCode where pos >= arity(row).
   uint32_t code(uint32_t pos, uint32_t row) const {
-    return columns_[pos][row];
+    return columns_[pos * rows_.size() + row];
   }
 
   // Rows whose argument at `pos` has code `code`, ascending. Empty for
   // unseen codes or out-of-range positions.
-  const std::vector<uint32_t>& Postings(uint32_t pos, uint32_t code) const;
+  std::span<const uint32_t> Postings(uint32_t pos, uint32_t code) const;
 
  private:
   friend class ColumnarInstance;
+
+  // One position's postings in two flat arrays: `rows` holds the local
+  // rows sorted by (code, row), and `directory` maps each distinct code
+  // to its run in `rows`. The directory is a linear-probing table with a
+  // power-of-two capacity at least twice the number of codes; empty
+  // slots hold kNoCode, and `shift` turns a 64-bit Fibonacci hash of a
+  // code into its home slot.
+  struct CodeRun {
+    uint32_t code = TermDictionary::kNoCode;
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+  struct PositionPostings {
+    std::vector<CodeRun> directory;
+    uint32_t shift = 0;
+    std::vector<uint32_t> rows;
+  };
+
+  static size_t HomeSlot(uint32_t code, uint32_t shift) {
+    return static_cast<size_t>((code * 0x9e3779b97f4a7c15ull) >> shift);
+  }
 
   // Global atom indices, one per local row.
   std::vector<uint32_t> rows_;
@@ -98,10 +121,10 @@ class ColumnarRelation {
   // Per-row arity; empty when every row has uniform_arity_.
   std::vector<uint32_t> arities_;
   uint32_t uniform_arity_ = 0;
-  // columns_[pos][row]: dictionary codes, kNoCode-padded.
-  std::vector<std::vector<uint32_t>> columns_;
-  // postings_[pos]: code -> ascending local rows.
-  std::vector<std::unordered_map<uint32_t, std::vector<uint32_t>>> postings_;
+  uint32_t width_ = 0;
+  // columns_[pos * num_rows + row]: dictionary codes, kNoCode-padded.
+  std::vector<uint32_t> columns_;
+  std::vector<PositionPostings> postings_;
 };
 
 // An immutable columnar snapshot of one Instance.
@@ -118,9 +141,9 @@ class ColumnarInstance {
   // Access paths and their stats attribution:
   // Rows() is a full scan (stats.instance.full_scans), Probe() an index
   // probe (stats.instance.index_probes). Both return local row lists.
-  const std::vector<uint32_t>& Rows(RelationId rel) const;
-  const std::vector<uint32_t>& Probe(RelationId rel, uint32_t pos,
-                                     uint32_t code) const;
+  std::span<const uint32_t> Rows(RelationId rel) const;
+  std::span<const uint32_t> Probe(RelationId rel, uint32_t pos,
+                                  uint32_t code) const;
 
  private:
   TermDictionary dict_;

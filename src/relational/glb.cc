@@ -1,7 +1,11 @@
 #include "relational/glb.h"
 
+#include <span>
 #include <unordered_map>
 #include <utility>
+#include <vector>
+
+#include "relational/columnar.h"
 
 namespace dxrec {
 
@@ -43,16 +47,22 @@ class Pairing {
 Instance Glb(const Instance& a, const Instance& b, NullSource* source) {
   Pairing iota(source);
   Instance out;
+  const ColumnarInstance& columnar = b.Columnar();
+  std::vector<Term> args;
   for (const Atom& ta : a.atoms()) {
-    for (uint32_t idx : b.AtomsFor(ta.relation())) {
-      const Atom& tb = b.atoms()[idx];
+    // A full scan of b's rows for ta's relation, in insertion order.
+    std::span<const uint32_t> locals = columnar.Rows(ta.relation());
+    if (locals.empty()) continue;
+    const std::vector<uint32_t>& rows =
+        columnar.Relation(ta.relation())->rows();
+    for (uint32_t local : locals) {
+      const Atom& tb = b.atoms()[rows[local]];
       if (tb.arity() != ta.arity()) continue;
-      std::vector<Term> args;
-      args.reserve(ta.arity());
+      args.clear();
       for (uint32_t i = 0; i < ta.arity(); ++i) {
         args.push_back(iota.Pair(ta.arg(i), tb.arg(i)));
       }
-      out.Add(Atom(ta.relation(), std::move(args)));
+      out.Add(Atom(ta.relation(), args));
     }
   }
   return out;

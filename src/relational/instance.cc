@@ -1,30 +1,70 @@
 #include "relational/instance.h"
 
 #include <algorithm>
+#include <unordered_set>
 
-#include "obs/stats.h"
 #include "relational/columnar.h"
 
 namespace dxrec {
 
 namespace {
-// Shared empty vector for relation misses.
-const std::vector<uint32_t>& EmptyIndexVector() {
-  static const std::vector<uint32_t>& empty = *new std::vector<uint32_t>();
-  return empty;
+
+// AtomHash folded to 32 bits through a multiplicative mix, so the low
+// bits that pick a slot depend on every input bit.
+uint32_t SlotHash(const Atom& atom) {
+  return static_cast<uint32_t>((AtomHash()(atom) * 0x9e3779b97f4a7c15ull) >>
+                               32);
 }
+
 }  // namespace
 
 Instance::Instance(std::initializer_list<Atom> atoms) {
   for (const Atom& a : atoms) Add(a);
 }
 
+size_t Instance::FindSlot(const Atom& atom, uint32_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.index == kEmptySlot ||
+        (slot.hash == hash && atoms_[slot.index] == atom)) {
+      return i;
+    }
+  }
+}
+
+void Instance::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 8 : 2 * old.size(), Slot{kEmptySlot, 0});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.index == kEmptySlot) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].index != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+std::optional<uint32_t> Instance::IndexOf(const Atom& atom) const {
+  if (slots_.empty()) return std::nullopt;
+  const uint32_t index = slots_[FindSlot(atom, SlotHash(atom))].index;
+  if (index == kEmptySlot) return std::nullopt;
+  return index;
+}
+
 bool Instance::Add(const Atom& atom) {
-  auto [it, inserted] = set_.insert(atom);
-  if (!inserted) return false;
-  uint32_t idx = static_cast<uint32_t>(atoms_.size());
+  const uint32_t hash = SlotHash(atom);
+  size_t i = 0;
+  if (!slots_.empty()) {
+    i = FindSlot(atom, hash);
+    if (slots_[i].index != kEmptySlot) return false;
+  }
+  if (2 * (atoms_.size() + 1) > slots_.size()) {
+    Grow();
+    i = FindSlot(atom, hash);
+  }
+  slots_[i] = {static_cast<uint32_t>(atoms_.size()), hash};
   atoms_.push_back(atom);
-  by_relation_[atom.relation()].push_back(idx);
   columnar_.reset();
   return true;
 }
@@ -42,13 +82,6 @@ bool Instance::ContainsAll(const Instance& other) const {
     if (!Contains(a)) return false;
   }
   return true;
-}
-
-const std::vector<uint32_t>& Instance::AtomsFor(RelationId rel) const {
-  obs::stats::NoteFullScan();
-  auto it = by_relation_.find(rel);
-  if (it == by_relation_.end()) return EmptyIndexVector();
-  return it->second;
 }
 
 std::vector<Term> Instance::Dom() const {
@@ -80,15 +113,6 @@ bool Instance::IsGround() const {
   return true;
 }
 
-std::vector<RelationId> Instance::Relations() const {
-  std::vector<RelationId> out;
-  for (const auto& [rel, indices] : by_relation_) {
-    if (!indices.empty()) out.push_back(rel);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 Instance Instance::Apply(const Substitution& s) const {
   Instance out;
   for (const Atom& a : atoms_) out.Add(a.Apply(s));
@@ -118,7 +142,7 @@ Instance Instance::Difference(const Instance& a, const Instance& b) {
 }
 
 bool operator==(const Instance& a, const Instance& b) {
-  return a.set_ == b.set_;
+  return a.size() == b.size() && a.ContainsAll(b);
 }
 
 std::string Instance::ToString() const {

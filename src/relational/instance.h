@@ -1,18 +1,18 @@
 // Instances: finite sets of facts over constants and nulls (paper, Sec. 2).
 //
-// Instance keeps insertion order for deterministic iteration, hash-set
-// membership for O(1) dedup, and a lazily built columnar snapshot
-// (relational/columnar.h) that the homomorphism search in
-// chase/homomorphism runs against.
+// Instance stores each atom once, in insertion order, for deterministic
+// iteration. Membership is an open-addressing table of indices into that
+// vector (each slot caches its atom's hash), and a lazily built columnar
+// snapshot (relational/columnar.h) serves the homomorphism search in
+// chase/homomorphism and every per-relation scan.
 #ifndef DXREC_RELATIONAL_INSTANCE_H_
 #define DXREC_RELATIONAL_INSTANCE_H_
 
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/substitution.h"
@@ -35,7 +35,9 @@ class Instance {
   void AddAll(const Instance& other);
   void AddAll(const std::vector<Atom>& atoms);
 
-  bool Contains(const Atom& atom) const { return set_.count(atom) > 0; }
+  bool Contains(const Atom& atom) const { return IndexOf(atom).has_value(); }
+  // The position of `atom` in atoms(), if present.
+  std::optional<uint32_t> IndexOf(const Atom& atom) const;
   bool ContainsAll(const Instance& other) const;
 
   // Number of tuples (paper notation |I|).
@@ -44,9 +46,6 @@ class Instance {
 
   // All atoms in insertion order.
   const std::vector<Atom>& atoms() const { return atoms_; }
-
-  // Indices (into atoms()) of the atoms of relation `rel`.
-  const std::vector<uint32_t>& AtomsFor(RelationId rel) const;
 
   // The dictionary-encoded column-major snapshot of this instance
   // (relational/columnar.h), built lazily and invalidated on mutation.
@@ -66,9 +65,6 @@ class Instance {
 
   // True if dom(I) contains only constants.
   bool IsGround() const;
-
-  // The set of relation ids with at least one atom.
-  std::vector<RelationId> Relations() const;
 
   // Applies `s` to every atom (sets may merge).
   Instance Apply(const Substitution& s) const;
@@ -90,9 +86,22 @@ class Instance {
   std::string ToString() const;
 
  private:
+  // One membership-table slot: an index into atoms_ and its atom's hash.
+  struct Slot {
+    uint32_t index;
+    uint32_t hash;
+  };
+  static constexpr uint32_t kEmptySlot = 0xffffffffu;
+
+  // The slot holding `atom` (hash `hash`), or the empty slot ending its
+  // probe sequence.
+  size_t FindSlot(const Atom& atom, uint32_t hash) const;
+  void Grow();
+
   std::vector<Atom> atoms_;
-  std::unordered_set<Atom, AtomHash> set_;
-  std::unordered_map<RelationId, std::vector<uint32_t>> by_relation_;
+  // Linear probing; the capacity is zero or a power of two at least twice
+  // size().
+  std::vector<Slot> slots_;
   // Lazily built columnar snapshot; shared (immutable) across copies.
   mutable std::shared_ptr<const ColumnarInstance> columnar_;
 };

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/fresh.h"
@@ -215,6 +217,127 @@ TEST(Substitution, ToStringIsDeterministic) {
   std::string first = s.ToString();
   EXPECT_EQ(first, s.ToString());
   EXPECT_NE(first.find("/"), std::string::npos);
+}
+
+// Sizes on both sides of the linear-scan -> hash-index switch (16).
+class SubstitutionSizes : public ::testing::TestWithParam<size_t> {};
+
+Term SubVar(size_t i) { return Term::Variable("sv" + std::to_string(i)); }
+Term SubCon(size_t i) { return Term::Constant("sc" + std::to_string(i)); }
+
+// {sv0/sc0, ..., sv(n-1)/sc(n-1)} built by Set, in the given order.
+Substitution Identityish(size_t n, bool reversed = false) {
+  Substitution s;
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = reversed ? n - 1 - k : k;
+    s.Set(SubVar(i), SubCon(i));
+  }
+  return s;
+}
+
+TEST_P(SubstitutionSizes, SetOverwritesWithoutGrowing) {
+  const size_t n = GetParam();
+  Substitution s = Identityish(n);
+  ASSERT_EQ(s.size(), n);
+  for (size_t i = 0; i < n; ++i) s.Set(SubVar(i), SubCon(i + 1000));
+  EXPECT_EQ(s.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(s.Binds(SubVar(i)));
+    EXPECT_EQ(s.Apply(SubVar(i)), SubCon(i + 1000));
+  }
+  EXPECT_FALSE(s.Binds(SubVar(n)));
+  EXPECT_EQ(s.Apply(SubVar(n)), SubVar(n));
+}
+
+TEST_P(SubstitutionSizes, UnifyConflictLeavesMapUnchanged) {
+  const size_t n = GetParam();
+  Substitution s = Identityish(n);
+  const Substitution before = s;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(s.Unify(SubVar(i), SubCon(i)));
+    EXPECT_FALSE(s.Unify(SubVar(i), SubCon(i + 1)));
+  }
+  EXPECT_EQ(s, before);
+  EXPECT_TRUE(s.Unify(SubVar(n), SubCon(n)));
+  EXPECT_EQ(s.size(), n + 1);
+}
+
+TEST_P(SubstitutionSizes, EqualityIgnoresInsertionOrder) {
+  const size_t n = GetParam();
+  EXPECT_EQ(Identityish(n), Identityish(n, /*reversed=*/true));
+  EXPECT_EQ(Identityish(n).ToString(),
+            Identityish(n, /*reversed=*/true).ToString());
+  if (n == 0) return;
+  Substitution other = Identityish(n, /*reversed=*/true);
+  other.Set(SubVar(n / 2), SubCon(n + 7));
+  EXPECT_NE(Identityish(n), other);
+  EXPECT_NE(Identityish(n), Identityish(n - 1));
+}
+
+TEST_P(SubstitutionSizes, ComposeRestrictExtendsMerge) {
+  const size_t n = GetParam();
+  // g: sv_i -> sw_i, f: sw_i -> sc_i plus f's own sv_i -> sc_(i+1).
+  Substitution g;
+  Substitution f;
+  for (size_t i = 0; i < n; ++i) {
+    const Term w = Term::Variable("sw" + std::to_string(i));
+    g.Set(SubVar(i), w);
+    f.Set(w, SubCon(i));
+    f.Set(SubVar(i), SubCon(i + 1));
+  }
+  const Substitution fg = f.Compose(g);
+  EXPECT_EQ(fg.size(), 2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(fg.Apply(SubVar(i)), SubCon(i));  // g wins on dom(g)
+    EXPECT_EQ(fg.Apply(Term::Variable("sw" + std::to_string(i))), SubCon(i));
+  }
+
+  std::vector<Term> half;
+  for (size_t i = 0; i < n; i += 2) half.push_back(SubVar(i));
+  half.push_back(SubVar(n + 5));  // unbound: dropped
+  const Substitution full = Identityish(n);
+  const Substitution restricted = full.Restrict(half);
+  EXPECT_EQ(restricted.size(), (n + 1) / 2);
+  EXPECT_TRUE(full.Extends(restricted));
+  EXPECT_TRUE(full.Extends(Substitution()));
+  EXPECT_EQ(restricted.Extends(full), n <= 1);
+
+  Substitution merged = restricted;
+  EXPECT_TRUE(merged.MergeFrom(full));
+  EXPECT_EQ(merged, full);
+  Substitution conflict = Identityish(n);
+  conflict.Set(SubVar(n + 1), SubCon(0));
+  if (n > 0) conflict.Set(SubVar(n - 1), SubCon(n + 9));
+  Substitution target = full;
+  EXPECT_EQ(target.MergeFrom(conflict), n == 0);
+}
+
+TEST_P(SubstitutionSizes, CopiesAndFromDistinctAgree) {
+  const size_t n = GetParam();
+  std::vector<Substitution::Binding> bindings;
+  for (size_t i = 0; i < n; ++i) bindings.emplace_back(SubVar(i), SubCon(i));
+  const Substitution built = Substitution::FromDistinct(bindings);
+  const Substitution set = Identityish(n, /*reversed=*/true);
+  EXPECT_EQ(built, set);
+  Substitution copy = built;
+  copy.Set(SubVar(n), SubCon(n));  // grows the copy, not the original
+  EXPECT_FALSE(built.Binds(SubVar(n)));
+  EXPECT_TRUE(copy.Binds(SubVar(n)));
+  Substitution assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned, copy);
+  Substitution moved = std::move(assigned);
+  EXPECT_EQ(moved, copy);
+  for (size_t i = 0; i <= n; ++i) EXPECT_EQ(moved.Apply(SubVar(i)), SubCon(i));
+}
+
+INSTANTIATE_TEST_SUITE_P(AcrossIndexThreshold, SubstitutionSizes,
+                         ::testing::Values(0, 1, 15, 16, 17, 40, 300));
+
+TEST(Substitution, LayoutStaysCompact) {
+  // A vector plus the index pointer: no larger than the hash map it
+  // replaced (56 bytes in libstdc++).
+  EXPECT_LE(sizeof(Substitution), 32u);
 }
 
 }  // namespace

@@ -17,11 +17,13 @@
 // Build with clang + -DDXREC_BUILD_FUZZERS=ON for the real libFuzzer
 // entry point; without DXREC_LIBFUZZER the same file compiles to the
 // standalone replayer that the `fuzz_instance_replay` ctest runs.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,7 +78,10 @@ void CheckColumnarInvariants(const dxrec::Instance& instance) {
           filtered.push_back(row);
         }
       }
-      Check(columnar.Probe(a.relation(), pos, code) == filtered,
+      const std::span<const uint32_t> postings =
+          columnar.Probe(a.relation(), pos, code);
+      Check(std::equal(postings.begin(), postings.end(), filtered.begin(),
+                       filtered.end()),
             "postings list != filtered scan");
     }
   }

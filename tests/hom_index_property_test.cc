@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "chase/homomorphism.h"
+#include "datagen/generators.h"
 #include "datagen/random.h"
 #include "hom_oracle.h"
 #include "logic/parser.h"
@@ -146,7 +148,10 @@ TEST_P(ColumnarIndexProperty, ProbeEqualsFilteredScan) {
           filtered.push_back(row);
         }
       }
-      EXPECT_EQ(columnar.Probe(a.relation(), pos, code), filtered)
+      const std::span<const uint32_t> postings =
+          columnar.Probe(a.relation(), pos, code);
+      EXPECT_EQ(std::vector<uint32_t>(postings.begin(), postings.end()),
+                filtered)
           << "postings list != filtered scan at pos " << pos;
     }
   }
@@ -158,7 +163,7 @@ TEST_P(ColumnarIndexProperty, ProbeEqualsFilteredScan) {
                                 .relation()}) {
     const ColumnarRelation* rel = columnar.Relation(rel_id);
     if (rel == nullptr) continue;
-    const std::vector<uint32_t>& local = columnar.Rows(rel_id);
+    const std::span<const uint32_t> local = columnar.Rows(rel_id);
     ASSERT_EQ(local.size(), rel->num_rows());
     for (uint32_t row = 0; row < local.size(); ++row) {
       EXPECT_EQ(local[row], row);
@@ -172,6 +177,64 @@ TEST_P(ColumnarIndexProperty, ProbeEqualsFilteredScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarIndexProperty,
+                         ::testing::Range<uint64_t>(1, 25));
+
+// Wide atoms through generated mappings: relations of arity up to 5, so
+// most tuples and pattern atoms keep their arguments in a spilled heap
+// block rather than inline. Every tgd's body (over the source) and head
+// (over the chase target, nulls included) must match the oracle, and
+// the target's postings must equal the filtered scans.
+class WideArityProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WideArityProperty, SpilledAtomsMatchOracle) {
+  Rng rng(GetParam() * 7727 + 5);
+  const std::string tag = "wap" + std::to_string(GetParam()) + "_";
+  MappingSpec spec;
+  spec.num_tgds = 2 + rng.Index(2);
+  spec.max_arity = 5;
+  const DependencySet sigma = RandomMapping(spec, tag, &rng);
+  SourceSpec source_spec;
+  source_spec.num_tuples = 6 + rng.Index(4);
+  source_spec.num_constants = 4;
+  const Instance source = RandomSource(sigma, source_spec, tag, &rng);
+  const Instance target = ChaseTarget(sigma, source, /*ground=*/false);
+
+  for (const Tgd& tgd : sigma.tgds()) {
+    EXPECT_EQ(oracle::MatcherHoms(tgd.body(), source),
+              oracle::AllHoms(tgd.body(), source));
+    EXPECT_EQ(oracle::MatcherHoms(tgd.head(), target),
+              oracle::AllHoms(tgd.head(), target));
+  }
+  // The target's own atoms as a pattern, nulls as placeholders.
+  HomSearchOptions map_nulls;
+  map_nulls.map_nulls = true;
+  std::vector<Atom> pattern(
+      target.atoms().begin(),
+      target.atoms().begin() + std::min<size_t>(2, target.size()));
+  EXPECT_EQ(oracle::MatcherHoms(pattern, target, map_nulls),
+            oracle::AllHoms(pattern, target, map_nulls));
+
+  const ColumnarInstance& columnar = target.Columnar();
+  for (const Atom& a : target.atoms()) {
+    const ColumnarRelation* rel = columnar.Relation(a.relation());
+    ASSERT_NE(rel, nullptr);
+    for (uint32_t pos = 0; pos < a.arity(); ++pos) {
+      const uint32_t code = columnar.dict().Find(a.arg(pos));
+      std::vector<uint32_t> filtered;
+      for (uint32_t row : columnar.Rows(a.relation())) {
+        if (pos < rel->arity(row) && rel->code(pos, row) == code) {
+          filtered.push_back(row);
+        }
+      }
+      const std::span<const uint32_t> postings =
+          columnar.Probe(a.relation(), pos, code);
+      EXPECT_EQ(std::vector<uint32_t>(postings.begin(), postings.end()),
+                filtered);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WideArityProperty,
                          ::testing::Range<uint64_t>(1, 25));
 
 // Mutation invalidates the snapshot: the next Columnar() call sees the

@@ -148,7 +148,7 @@ Instance WithANull(const Instance& source, Rng* rng) {
   const Term null = FreshNulls().Fresh();
   Instance out;
   for (const Atom& a : source.atoms()) {
-    std::vector<Term> args = a.args();
+    std::vector<Term> args(a.args().begin(), a.args().end());
     for (Term& t : args) {
       if (t == replaced) t = null;
     }

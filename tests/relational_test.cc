@@ -2,6 +2,12 @@
 // instance operations and the homomorphic glb.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/fresh.h"
 #include "chase/homomorphism.h"
 #include "logic/parser.h"
@@ -99,6 +105,166 @@ TEST(Instance, SetEqualityIgnoresOrder) {
   EXPECT_NE(a, I("{Rq(a)}"));
 }
 
+// Arity 0..9 straddles the inline (<= 3) / spilled (> 3) boundary.
+class AtomArities : public ::testing::TestWithParam<uint32_t> {};
+
+std::vector<Term> ArityTerms(uint32_t arity, uint32_t salt) {
+  std::vector<Term> terms;
+  for (uint32_t i = 0; i < arity; ++i) {
+    terms.push_back(i % 2 == 0
+                        ? Term::Constant("ac" + std::to_string(i + salt))
+                        : Term::Variable("av" + std::to_string(i + salt)));
+  }
+  return terms;
+}
+
+TEST_P(AtomArities, CopyMoveAndSelfAssignKeepArguments) {
+  const uint32_t arity = GetParam();
+  const std::vector<Term> terms = ArityTerms(arity, 0);
+  const Atom original(InternRelation("Ra"), terms);
+  ASSERT_EQ(original.arity(), arity);
+  EXPECT_TRUE(std::equal(original.args().begin(), original.args().end(),
+                         terms.begin(), terms.end()));
+
+  Atom copy = original;
+  EXPECT_EQ(copy, original);
+  Atom moved = std::move(copy);
+  EXPECT_EQ(moved, original);
+  Atom assigned = Atom::Make("Rb", {Term::Constant("other")});
+  assigned = moved;
+  EXPECT_EQ(assigned, original);
+  Atom move_assigned = Atom::Make("Rb", ArityTerms(9, 50));
+  move_assigned = std::move(assigned);
+  EXPECT_EQ(move_assigned, original);
+  Atom& alias = move_assigned;
+  move_assigned = alias;
+  EXPECT_EQ(move_assigned, original);
+  move_assigned = std::move(alias);
+  EXPECT_EQ(move_assigned, original);
+  EXPECT_EQ(move_assigned.ToString(), original.ToString());
+}
+
+TEST_P(AtomArities, ApplyWritesImagesInPlace) {
+  const uint32_t arity = GetParam();
+  const Atom a(InternRelation("Ra"), ArityTerms(arity, 0));
+  Substitution s;
+  std::vector<Term> expected;
+  for (Term t : a.args()) {
+    if (t.is_variable()) s.Set(t, Term::Null(t.id()));
+    expected.push_back(t.is_variable() ? Term::Null(t.id()) : t);
+  }
+  EXPECT_EQ(a.Apply(s), Atom(a.relation(), expected));
+  EXPECT_EQ(a.Apply(s).IsFact(), true);
+}
+
+// <, == and AtomHash agree with the same relations over std::vector<Term>
+// (the representation the inline layout replaced).
+TEST(Atom, OrderEqualityAndHashMatchVectorReference) {
+  std::vector<std::pair<RelationId, std::vector<Term>>> reference;
+  for (const char* rel : {"Ra", "Rb"}) {
+    for (uint32_t arity : {0u, 1u, 3u, 4u, 9u}) {
+      for (uint32_t salt : {0u, 1u}) {
+        reference.emplace_back(InternRelation(rel), ArityTerms(arity, salt));
+      }
+    }
+  }
+  auto vector_hash = [](RelationId rel, const std::vector<Term>& terms) {
+    size_t h = std::hash<uint32_t>()(rel);
+    for (Term t : terms) {
+      h ^= TermHash()(t) + 0x9e3779b9 + (h << 6) + (h >> 2);
+    }
+    return h;
+  };
+  for (const auto& [rel_a, terms_a] : reference) {
+    const Atom a(rel_a, terms_a);
+    EXPECT_EQ(AtomHash()(a), vector_hash(rel_a, terms_a));
+    for (const auto& [rel_b, terms_b] : reference) {
+      const Atom b(rel_b, terms_b);
+      const bool equal = rel_a == rel_b && terms_a == terms_b;
+      const bool less =
+          rel_a != rel_b ? rel_a < rel_b : terms_a < terms_b;
+      EXPECT_EQ(a == b, equal) << a.ToString() << " vs " << b.ToString();
+      EXPECT_EQ(a < b, less) << a.ToString() << " vs " << b.ToString();
+      if (equal) {
+        EXPECT_EQ(AtomHash()(a), AtomHash()(b));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndSpilled, AtomArities,
+                         ::testing::Values(0u, 1u, 3u, 4u, 9u));
+
+TEST(Atom, LayoutStaysCompact) { EXPECT_LE(sizeof(Atom), 32u); }
+
+// Enough atoms to grow the membership table several times.
+std::vector<Atom> ManyAtoms(size_t n) {
+  std::vector<Atom> atoms;
+  for (size_t i = 0; i < n; ++i) {
+    const Term c = Term::Constant("ic" + std::to_string(i));
+    if (i % 3 == 0) {
+      atoms.push_back(Atom::Make("Ri", {c}));
+    } else if (i % 3 == 1) {
+      atoms.push_back(Atom::Make("Ri", {c, c, c, c, c}));
+    } else {
+      atoms.push_back(
+          Atom::Make("Si", {c, Term::Null(static_cast<uint32_t>(i))}));
+    }
+  }
+  return atoms;
+}
+
+TEST(Instance, DeduplicatesAcrossTableGrowth) {
+  const std::vector<Atom> atoms = ManyAtoms(1000);
+  Instance inst;
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    EXPECT_TRUE(inst.Add(atoms[i]));
+    // Re-adding any earlier atom is a no-op, before and after growth.
+    EXPECT_FALSE(inst.Add(atoms[i / 2]));
+  }
+  ASSERT_EQ(inst.size(), atoms.size());
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    EXPECT_EQ(inst.atoms()[i], atoms[i]);  // insertion order
+    EXPECT_EQ(inst.IndexOf(atoms[i]), std::optional<uint32_t>(i));
+  }
+  EXPECT_FALSE(inst.Contains(Atom::Make("Ri", {Term::Constant("absent")})));
+  EXPECT_EQ(inst.IndexOf(Atom::Make("Ti", {})), std::nullopt);
+}
+
+TEST(Instance, EqualityAcrossInsertionOrders) {
+  const std::vector<Atom> atoms = ManyAtoms(300);
+  Instance forward;
+  for (const Atom& a : atoms) forward.Add(a);
+  Instance backward;
+  for (auto it = atoms.rbegin(); it != atoms.rend(); ++it) backward.Add(*it);
+  EXPECT_EQ(forward, backward);
+  EXPECT_EQ(forward.ToString(), backward.ToString());
+  EXPECT_EQ(backward.atoms().front(), atoms.back());
+  Instance more = forward;
+  more.Add(Atom::Make("Ti", {}));
+  EXPECT_NE(forward, more);
+  EXPECT_NE(more, backward);
+}
+
+TEST(Instance, ContainsAfterCopyAndMove) {
+  const std::vector<Atom> atoms = ManyAtoms(200);
+  Instance original;
+  for (const Atom& a : atoms) original.Add(a);
+  Instance copy = original;
+  copy.Add(Atom::Make("Ti", {}));  // the copy grows alone
+  Instance assigned;
+  assigned = original;
+  Instance moved = std::move(assigned);
+  for (const Atom& a : atoms) {
+    EXPECT_TRUE(copy.Contains(a));
+    EXPECT_TRUE(moved.Contains(a));
+  }
+  EXPECT_TRUE(copy.Contains(Atom::Make("Ti", {})));
+  EXPECT_FALSE(original.Contains(Atom::Make("Ti", {})));
+  EXPECT_FALSE(moved.Contains(Atom::Make("Ti", {})));
+  EXPECT_EQ(moved, original);
+}
+
 TEST(Instance, UnionAndDifference) {
   Instance a = I("{Ru(a)}");
   Instance b = I("{Ru(b)}");
@@ -123,7 +289,7 @@ TEST(Instance, PositionIndexFindsTuples) {
   EXPECT_EQ(PostingsSize(inst, rel, 0, Term::Constant("a")), 2u);
   EXPECT_EQ(PostingsSize(inst, rel, 1, Term::Constant("c")), 2u);
   EXPECT_EQ(PostingsSize(inst, rel, 1, Term::Constant("zz")), 0u);
-  EXPECT_EQ(inst.AtomsFor(rel).size(), 3u);
+  EXPECT_EQ(inst.Columnar().Rows(rel).size(), 3u);
 }
 
 TEST(Instance, IndexSurvivesMutation) {
