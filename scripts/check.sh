@@ -29,7 +29,8 @@
 # overhead at 3% of the obs-off bench_e8 median.
 #
 # Also enforces source-level invariants (budget failures must go through
-# obs::BudgetExhausted) and, with DXREC_CHECK_BENCH=1, records a
+# obs::BudgetExhausted; every src/ header is reached by something besides
+# its own tests) and, with DXREC_CHECK_BENCH=1, records a
 # bench_e8 perf snapshot under bench_history/ and diffs it against the
 # previous snapshot via scripts/bench_diff.py (warn-only). The same
 # stage gates the parallel engine: the snapshot's threads=1 vs threads=N
@@ -63,6 +64,26 @@ if [ -n "$offenders" ]; then
   echo "bare Status::ResourceExhausted( outside src/base+src/obs;" \
        "use obs::BudgetExhausted / obs::BudgetMeter instead:" >&2
   echo "$offenders" >&2
+  exit 1
+fi
+echo "ok"
+
+# Library code must be reached by something besides its own tests: every
+# src/ header needs an include from another src/ file (not its own .cc),
+# an example, an E1-E13 bench or dxrec-bench. Code only tests call is
+# deleted together with those tests.
+echo "=== reachability check ==="
+unreached=""
+for header in $(cd src && find . -name '*.h' | sed 's|^\./||' | sort); do
+  users=$(grep -rlF "#include \"$header\"" src examples bench dxrec-bench \
+             --include='*.h' --include='*.cc' --include='*.cpp' \
+           | grep -vxF "src/${header%.h}.cc" || true)
+  if [ -z "$users" ]; then
+    unreached="$unreached src/$header"
+  fi
+done
+if [ -n "$unreached" ]; then
+  echo "headers included only by their own .cc and tests/:$unreached" >&2
   exit 1
 fi
 echo "ok"

@@ -94,28 +94,6 @@ bool Substitution::Unify(Term from, Term to) {
   return true;
 }
 
-Substitution Substitution::Compose(const Substitution& g) const {
-  std::vector<Binding> bindings;
-  bindings.reserve(g.size() + size());
-  for (const auto& [from, to] : g.bindings_) {
-    bindings.emplace_back(from, Apply(to));
-  }
-  Substitution out = FromDistinct(std::move(bindings));
-  for (const auto& [from, to] : bindings_) {
-    if (!g.Binds(from)) out.Append(from, to);
-  }
-  return out;
-}
-
-Substitution Substitution::Restrict(const std::vector<Term>& domain) const {
-  Substitution out;
-  for (Term t : domain) {
-    const Binding* b = Find(t);
-    if (b != nullptr) out.Set(t, b->second);
-  }
-  return out;
-}
-
 bool Substitution::Extends(const Substitution& other) const {
   for (const auto& [from, to] : other.bindings_) {
     const Binding* b = Find(from);

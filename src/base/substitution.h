@@ -53,13 +53,6 @@ class Substitution {
   // Returns false (and leaves the map unchanged) on conflict.
   bool Unify(Term from, Term to);
 
-  // The composition f.Compose(g) maps x to f(g(x)) (paper notation: f o g).
-  // Its explicit domain is dom(g) united with dom(f).
-  Substitution Compose(const Substitution& g) const;
-
-  // Restriction to the given set of terms (paper notation: f|_S).
-  Substitution Restrict(const std::vector<Term>& domain) const;
-
   // True if every binding of `other` is present and equal in *this.
   bool Extends(const Substitution& other) const;
 

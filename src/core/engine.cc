@@ -13,9 +13,10 @@ namespace dxrec {
 namespace {
 
 // Re-baselines the per-run metrics delta (obs/report.h) so each engine
-// call reports its own numbers, not the process lifetime's.
-void MarkRun() {
+// call reports its own numbers, then starts the call's progress heartbeat.
+obs::ProgressScope MarkRun(const obs::ObsOptions& options) {
   if (obs::Enabled()) obs::MarkRunStart();
+  return obs::ProgressScope(options.progress_seconds, options.progress_stderr);
 }
 
 // Arms `ctx` from the engine's resilience options and returns the pointer
@@ -74,6 +75,34 @@ Result<AnswerSet> ExactCertainAnswers(const UnionQuery& query,
 }
 
 }  // namespace
+
+// The prologue every entry point runs, as one stack object: MarkRun's
+// metrics re-baseline and heartbeat, then the armed context, which the
+// accessors lower into per-phase options. Held for the whole call, so the
+// heartbeat is joined on every return path before the result is returned.
+class Engine::Call {
+ public:
+  explicit Call(const Engine& engine)
+      : engine_(engine),
+        progress_(MarkRun(engine.options_.obs)),
+        context_(Arm(engine.options_.resilience, &ctx_)) {}
+
+  const resilience::ExecutionContext* context() const { return context_; }
+  InverseChaseOptions Inverse() const {
+    return engine_.options_.ToInverseChaseOptions(
+        context_, engine_.pool_.get(), engine_.sub_cache_.get());
+  }
+  RepairOptions Repair() const {
+    return engine_.options_.ToRepairOptions(context_, engine_.pool_.get(),
+                                            engine_.sub_cache_.get());
+  }
+
+ private:
+  const Engine& engine_;
+  obs::ProgressScope progress_;
+  resilience::ExecutionContext ctx_;
+  const resilience::ExecutionContext* context_;
+};
 
 InverseChaseOptions EngineOptions::ToInverseChaseOptions(
     const resilience::ExecutionContext* context, util::ThreadPool* pool,
@@ -146,69 +175,29 @@ Status Engine::Validate() const {
 }
 
 Result<InverseChaseResult> Engine::Recover(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
+  Call call(*this);
   // Pass-through keeps the full Status — in particular the BudgetInfo
   // payload of ResourceExhausted trips (see EngineBudget* tests).
-  return internal::InverseChase(sigma_, target, options);
+  return internal::InverseChase(sigma_, target, call.Inverse());
 }
 
 Result<bool> Engine::IsValid(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
-  return internal::IsValidForRecovery(sigma_, target, options);
-}
-
-Result<bool> Engine::IsUniversalForSomeSource(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
-  return internal::IsUniversalSolutionForSomeSource(sigma_, target, options);
-}
-
-Result<bool> Engine::IsCanonicalForSomeSource(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
-  return internal::IsCanonicalSolutionForSomeSource(sigma_, target, options);
+  Call call(*this);
+  return internal::IsValidForRecovery(sigma_, target, call.Inverse());
 }
 
 Result<AnswerSet> Engine::CertainAnswers(const UnionQuery& query,
                                          const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
-  return internal::CertainAnswers(query, sigma_, target, options);
+  Call call(*this);
+  return internal::CertainAnswers(query, sigma_, target, call.Inverse());
 }
 
 Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
     const UnionQuery& query, const Instance& target,
     RecoveryCache* cache) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
+  Call call(*this);
   Result<AnswerSet> exact =
-      ExactCertainAnswers(query, sigma_, target, options, cache);
+      ExactCertainAnswers(query, sigma_, target, call.Inverse(), cache);
   resilience::Degraded<AnswerSet> out;
   if (exact.ok()) {
     out.value = std::move(*exact);
@@ -244,7 +233,7 @@ Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
 
 Result<resilience::Degraded<InverseChaseResult>> Engine::RecoverDegraded(
     const Instance& target, RecoveryCache* cache) const {
-  MarkRun();
+  Call call(*this);
   resilience::Degraded<InverseChaseResult> out;
   if (cache != nullptr) {
     if (std::shared_ptr<const InverseChaseResult> set = cache->Get()) {
@@ -253,13 +242,9 @@ Result<resilience::Degraded<InverseChaseResult>> Engine::RecoverDegraded(
       return out;
     }
   }
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  InverseChaseOptions options = options_.ToInverseChaseOptions(
-      Arm(options_.resilience, &ctx), pool_.get(), sub_cache_.get());
   Status interrupt;
-  out.value = internal::InverseChasePartial(sigma_, target, options, &interrupt);
+  out.value =
+      internal::InverseChasePartial(sigma_, target, call.Inverse(), &interrupt);
   if (interrupt.ok()) {
     if (cache != nullptr) {
       out.value = *StoreRecoverySet(cache, std::move(out.value));
@@ -278,85 +263,56 @@ Result<resilience::Degraded<InverseChaseResult>> Engine::RecoverDegraded(
 }
 
 Result<TractabilityReport> Engine::Analyze(const Instance& target) const {
-  MarkRun();
-  resilience::ExecutionContext ctx;
+  Call call(*this);
   return internal::AnalyzeTractability(
-      sigma_, target,
-      options_.ToSubsumptionOptions(Arm(options_.resilience, &ctx)));
+      sigma_, target, options_.ToSubsumptionOptions(call.context()));
 }
 
 Result<Instance> Engine::CompleteUcqRecovery(const Instance& target) const {
-  MarkRun();
-  resilience::ExecutionContext ctx;
+  Call call(*this);
   return internal::CompleteUcqRecovery(
-      sigma_, target,
-      options_.ToSubsumptionOptions(Arm(options_.resilience, &ctx)));
+      sigma_, target, options_.ToSubsumptionOptions(call.context()));
 }
 
 AnswerSet Engine::SoundUcqAnswers(const UnionQuery& query,
                                   const Instance& target) const {
-  MarkRun();
+  Call call(*this);
   return internal::SoundUcqAnswers(query, sigma_, target);
 }
 
 Result<SubUniversalResult> Engine::SubUniversal(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
+  Call call(*this);
   return internal::ComputeCqSubUniversal(
-      sigma_, target,
-      options_.ToSubUniversalOptions(Arm(options_.resilience, &ctx)));
+      sigma_, target, options_.ToSubUniversalOptions(call.context()));
 }
 
 Result<AnswerSet> Engine::SoundCqAnswers(const ConjunctiveQuery& query,
                                          const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
+  Call call(*this);
   return internal::SoundCqAnswers(
-      query, sigma_, target,
-      options_.ToSubUniversalOptions(Arm(options_.resilience, &ctx)));
+      query, sigma_, target, options_.ToSubUniversalOptions(call.context()));
 }
 
 Result<DependencySet> Engine::MaximumRecoveryMapping() const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
+  Call call(*this);
   return internal::CqMaximumRecoveryMapping(
-      sigma_, options_.ToMaxRecoveryOptions(Arm(options_.resilience, &ctx)));
+      sigma_, options_.ToMaxRecoveryOptions(call.context()));
 }
 
 Result<Instance> Engine::BaselineRecoveredSource(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
+  Call call(*this);
   return internal::MaxRecoveryChase(
-      sigma_, target,
-      options_.ToMaxRecoveryOptions(Arm(options_.resilience, &ctx)));
+      sigma_, target, options_.ToMaxRecoveryOptions(call.context()));
 }
 
 Result<RepairResult> Engine::Repair(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  return internal::RepairTarget(sigma_, target,
-                      options_.ToRepairOptions(Arm(options_.resilience, &ctx),
-                                               pool_.get(), sub_cache_.get()));
+  Call call(*this);
+  return internal::RepairTarget(sigma_, target, call.Repair());
 }
 
 Result<Instance> Engine::RepairGreedy(const Instance& target) const {
-  MarkRun();
-  obs::ProgressScope progress(options_.obs.progress_seconds,
-                              options_.obs.progress_stderr);
-  resilience::ExecutionContext ctx;
-  return internal::GreedyRepair(sigma_, target,
-                      options_.ToRepairOptions(Arm(options_.resilience, &ctx),
-                                               pool_.get(), sub_cache_.get()));
+  Call call(*this);
+  return internal::GreedyRepair(sigma_, target, call.Repair());
 }
 
 }  // namespace dxrec

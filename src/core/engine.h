@@ -270,9 +270,6 @@ class Engine {
   Result<InverseChaseResult> Recover(const Instance& target) const;
   // J-validity (Thm. 3).
   Result<bool> IsValid(const Instance& target) const;
-  // Prop. 1: is J a universal (resp. canonical) solution for some source?
-  Result<bool> IsUniversalForSomeSource(const Instance& target) const;
-  Result<bool> IsCanonicalForSomeSource(const Instance& target) const;
   // CERT(Q, Sigma, J) for UCQs (Thm. 2 / Thm. 4).
   Result<AnswerSet> CertainAnswers(const UnionQuery& query,
                                    const Instance& target) const;
@@ -322,6 +319,9 @@ class Engine {
   Result<Instance> RepairGreedy(const Instance& target) const;
 
  private:
+  // The prologue each entry point runs (engine.cc).
+  class Call;
+
   DependencySet sigma_;
   EngineOptions options_;
   // Long-lived worker pool shared by all calls on this engine. Created

@@ -109,15 +109,10 @@ struct CoverOutcome {
   size_t num_candidates = 0;
   size_t num_rejected = 0;
   size_t num_unverified = 0;
-  // Phase wall time within this cover (steps 4-7); summed into the
-  // top-level stats at the (sequential) merge.
-  double seconds_reverse_chase = 0;
-  double seconds_forward_chase = 0;
-  double seconds_g_hom_search = 0;
-  double seconds_verify = 0;
   std::vector<VerifiedCandidate> candidates;
-  // Access-path attribution for steps 4-7 (empty unless stats enabled);
-  // merged into the RunStats tree in cover-index order.
+  // Steps 4-7's phase wall times, always recorded: the merge sums them
+  // into InverseChaseStats. The access-path attribution is empty unless
+  // stats are enabled; it joins the RunStats tree in cover-index order.
   obs::stats::CoverStats stats;
 };
 
@@ -232,7 +227,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     cstats.source_atoms = source.size();
     span.AddArg("source_atoms", static_cast<int64_t>(source.size()));
   }
-  outcome.seconds_reverse_chase = phase_sw.ElapsedSeconds();
+  cstats.seconds_reverse = phase_sw.ElapsedSeconds();
   phase_sw.Reset();
 
   // 5. J_H = Chase(Sigma, I_H).
@@ -245,7 +240,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     cstats.chased_atoms = chased.size();
     span.AddArg("chased_atoms", static_cast<int64_t>(chased.size()));
   }
-  outcome.seconds_forward_chase = phase_sw.ElapsedSeconds();
+  cstats.seconds_forward = phase_sw.ElapsedSeconds();
   phase_sw.Reset();
 
   // 6. g : J_H -> J, identity on dom(J).
@@ -280,7 +275,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
                  {"truncated", search.truncated ? 1 : 0}});
     }
   }
-  outcome.seconds_g_hom_search = phase_sw.ElapsedSeconds();
+  cstats.seconds_ghom = phase_sw.ElapsedSeconds();
   phase_sw.Reset();
   outcome.num_g_homs = gs.size();
 
@@ -468,7 +463,7 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     candidate.recovery = std::move(recoveries[r]);
     outcome.candidates.push_back(std::move(candidate));
   }
-  outcome.seconds_verify = phase_sw.ElapsedSeconds();
+  cstats.seconds_verify = phase_sw.ElapsedSeconds();
   verify_span.AddArg("candidates", static_cast<int64_t>(outcome.num_candidates));
   verify_span.AddArg("rejected", static_cast<int64_t>(outcome.num_rejected));
   cover_span.AddArg("passed_sub", 1);
@@ -478,10 +473,6 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     cstats.g_homs = outcome.num_g_homs;
     cstats.emitted = outcome.candidates.size();
     cstats.rejected = outcome.num_rejected;
-    cstats.seconds_reverse = outcome.seconds_reverse_chase;
-    cstats.seconds_forward = outcome.seconds_forward_chase;
-    cstats.seconds_ghom = outcome.seconds_g_hom_search;
-    cstats.seconds_verify = outcome.seconds_verify;
     if (obs::alloc::Enabled()) {
       cstats.alloc_bytes = static_cast<uint64_t>(
           obs::alloc::Snapshot().allocated - alloc_before);
@@ -588,6 +579,15 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     result.stats.seconds_total = total_sw.ElapsedSeconds();
     return status;
   };
+  // Publishes a completed run's tree (explain analyze, the report's
+  // "stats" section), replacing the previous run's.
+  auto record_run = [&] {
+    if (!stats_on) return;
+    run_stats.recoveries = result.recoveries.size();
+    run_stats.seconds_total = result.stats.seconds_total;
+    obs::stats::FlushRunToMetrics(run_stats);
+    obs::stats::SetLastRun(std::move(run_stats));
+  };
   Status interrupt;
 
   // 1. HOM(Sigma, J).
@@ -624,6 +624,7 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     if (!problem.AllTuplesCoverable()) {
       result.stats.seconds_cover_enum = phase_sw.ElapsedSeconds();
       result.stats.seconds_total = total_sw.ElapsedSeconds();
+      record_run();
       return Status::Ok();  // some tuple of J is not coverable: invalid.
     }
     CoverOptions cover_options = options.cover;
@@ -774,20 +775,15 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
   }
   // Cover stats move out in cover-index order — the same deterministic
   // merge the recoveries get — so the operator tree is byte-identical
-  // at any thread count (timings and alloc bytes excepted).
-  if (stats_on) {
-    run_stats.covers.reserve(outcomes.size());
-    for (CoverOutcome& outcome : outcomes) {
-      if (outcome.passed_sub) run_stats.num_covers_passing_sub++;
-      run_stats.covers.push_back(std::move(outcome.stats));
-    }
-  }
-  for (const CoverOutcome& outcome : outcomes) {
+  // at any thread count (timings and alloc bytes excepted). The phase
+  // times are summed before the move.
+  if (stats_on) run_stats.covers.reserve(outcomes.size());
+  for (CoverOutcome& outcome : outcomes) {
     if (outcome.passed_sub) result.stats.num_covers_passing_sub++;
-    result.stats.seconds_reverse_chase += outcome.seconds_reverse_chase;
-    result.stats.seconds_forward_chase += outcome.seconds_forward_chase;
-    result.stats.seconds_g_hom_search += outcome.seconds_g_hom_search;
-    result.stats.seconds_verify += outcome.seconds_verify;
+    result.stats.seconds_reverse_chase += outcome.stats.seconds_reverse;
+    result.stats.seconds_forward_chase += outcome.stats.seconds_forward;
+    result.stats.seconds_g_hom_search += outcome.stats.seconds_ghom;
+    result.stats.seconds_verify += outcome.stats.seconds_verify;
     result.stats.num_g_homs += outcome.num_g_homs;
     result.stats.num_recoveries_before_dedup += outcome.num_candidates;
     result.stats.num_candidates_rejected += outcome.num_rejected;
@@ -795,7 +791,9 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     if (!outcome.candidates.empty()) {
       result.stats.num_covers_yielding_recoveries++;
     }
+    if (stats_on) run_stats.covers.push_back(std::move(outcome.stats));
   }
+  run_stats.num_covers_passing_sub = result.stats.num_covers_passing_sub;
   // Exact dedup on the candidates' canonical keys: step 7's where it
   // computed them, computed here otherwise, and skipped for a lone
   // candidate, which has nothing to collide with.
@@ -881,12 +879,7 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
   }
   result.stats.seconds_merge = phase_sw.ElapsedSeconds();
   result.stats.seconds_total = total_sw.ElapsedSeconds();
-  if (stats_on) {
-    run_stats.recoveries = result.recoveries.size();
-    run_stats.seconds_total = result.stats.seconds_total;
-    obs::stats::FlushRunToMetrics(run_stats);
-    obs::stats::SetLastRun(std::move(run_stats));
-  }
+  record_run();
   merge_span.AddArg("recoveries",
                     static_cast<int64_t>(result.recoveries.size()));
   pipeline_span.AddArg("recoveries",

@@ -85,36 +85,6 @@ Result<Instance> CompleteUcqRecovery(const DependencySet& sigma,
 
 }  // namespace internal
 
-Result<std::vector<Instance>> KBoundedRecoverySet(
-    const DependencySet& sigma, const Instance& target, size_t k,
-    const SubsumptionOptions& options) {
-  std::vector<HeadHom> homs = ComputeHomSet(sigma, target);
-  CoverProblem problem(sigma, target, homs);
-  if (!problem.AllTuplesCoverable()) {
-    return Status::FailedPrecondition(
-        "target is not valid for recovery (uncoverable tuple)");
-  }
-  CoverOptions cover_options;
-  cover_options.max_covers = k + 1;
-  Result<std::vector<Cover>> covers = problem.AllCovers(cover_options);
-  if (!covers.ok()) {
-    // Budget exceeded means more than k covers.
-    return Status::FailedPrecondition("|COV(Sigma, J)| exceeds k = " +
-                                      std::to_string(k));
-  }
-  if (covers->size() > k) {
-    return Status::FailedPrecondition("|COV(Sigma, J)| = " +
-                                      std::to_string(covers->size()) +
-                                      " exceeds k = " + std::to_string(k));
-  }
-  InverseChaseOptions inverse_options;
-  inverse_options.subsumption = options;
-  Result<InverseChaseResult> inverse =
-      internal::InverseChase(sigma, target, inverse_options);
-  if (!inverse.ok()) return inverse.status();
-  return inverse->recoveries;
-}
-
 MaximalSubsetResult MaximalUniquelyCoveredSubset(const DependencySet& sigma,
                                                  const Instance& target) {
   std::vector<HeadHom> homs = ComputeHomSet(sigma, target);

@@ -60,13 +60,6 @@ Result<Instance> CompleteUcqRecovery(
 
 }  // namespace internal
 
-// k-cover extension: if |COV(Sigma, J)| <= k (and Sigma is quasi-guarded
-// safe), returns the <= k recoveries whose answer intersection equals
-// CERT for every UCQ. FailedPrecondition otherwise.
-Result<std::vector<Instance>> KBoundedRecoverySet(
-    const DependencySet& sigma, const Instance& target, size_t k,
-    const SubsumptionOptions& options = SubsumptionOptions());
-
 struct MaximalSubsetResult {
   // The maximal J' of J with a unique covering.
   Instance j_prime;

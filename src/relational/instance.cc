@@ -119,14 +119,6 @@ Instance Instance::Apply(const Substitution& s) const {
   return out;
 }
 
-Instance Instance::Restrict(const Schema& schema) const {
-  Instance out;
-  for (const Atom& a : atoms_) {
-    if (schema.Contains(a.relation())) out.Add(a);
-  }
-  return out;
-}
-
 Instance Instance::Union(const Instance& a, const Instance& b) {
   Instance out = a;
   out.AddAll(b);

@@ -17,7 +17,6 @@
 
 #include "base/substitution.h"
 #include "base/term.h"
-#include "relational/schema.h"
 #include "relational/tuple.h"
 
 namespace dxrec {
@@ -68,9 +67,6 @@ class Instance {
 
   // Applies `s` to every atom (sets may merge).
   Instance Apply(const Substitution& s) const;
-
-  // The sub-instance of atoms whose relation is in `schema`.
-  Instance Restrict(const Schema& schema) const;
 
   // Set union / difference.
   static Instance Union(const Instance& a, const Instance& b);

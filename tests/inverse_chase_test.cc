@@ -552,5 +552,49 @@ TEST(InverseChaseMemo, TargetWithNullsVerifiesEveryCandidate) {
   }
 }
 
+// Prop. 1: is J a universal (resp. canonical) solution for some source?
+TEST(Prop1, UniversalForSomeSource) {
+  // Under R(x) -> exists z S(x, z), a target with a null witness is
+  // universal for {R(a)}; a ground witness is not universal for anything.
+  DependencySet sigma = S("Rp1(x) -> exists z: Sp1(x, z)");
+  Result<bool> with_null =
+      internal::IsUniversalSolutionForSomeSource(sigma, I("{Sp1(a, _Z)}"));
+  ASSERT_TRUE(with_null.ok());
+  EXPECT_TRUE(*with_null);
+  Result<bool> ground =
+      internal::IsUniversalSolutionForSomeSource(sigma, I("{Sp1(a, b)}"));
+  ASSERT_TRUE(ground.ok());
+  EXPECT_FALSE(*ground);
+  // With a full tgd the ground target is universal (and canonical).
+  DependencySet full = S("Rp2(x) -> Sp2(x)");
+  Result<bool> full_ground =
+      internal::IsUniversalSolutionForSomeSource(full, I("{Sp2(a)}"));
+  ASSERT_TRUE(full_ground.ok());
+  EXPECT_TRUE(*full_ground);
+}
+
+TEST(Prop1, CanonicalForSomeSource) {
+  DependencySet sigma = S("Rp3(x) -> exists z: Sp3(x, z)");
+  // The canonical solution has one fresh null per trigger.
+  Result<bool> canonical =
+      internal::IsCanonicalSolutionForSomeSource(sigma, I("{Sp3(a, _Z1), "
+                                                "Sp3(b, _Z2)}"));
+  ASSERT_TRUE(canonical.ok());
+  EXPECT_TRUE(*canonical);
+  // Sharing the null across triggers is universal-ish but not canonical.
+  Result<bool> shared =
+      internal::IsCanonicalSolutionForSomeSource(sigma, I("{Sp3(a, _Z), "
+                                                "Sp3(b, _Z)}"));
+  ASSERT_TRUE(shared.ok());
+  EXPECT_FALSE(*shared);
+  // Invalid targets are neither.
+  DependencySet diamond =
+      S("Rp4(x) -> Tp4(x); Rp4(x2) -> Sp4(x2); Mp4(x3) -> Sp4(x3)");
+  Result<bool> invalid =
+      internal::IsUniversalSolutionForSomeSource(diamond, I("{Tp4(a)}"));
+  ASSERT_TRUE(invalid.ok());
+  EXPECT_FALSE(*invalid);
+}
+
 }  // namespace
 }  // namespace dxrec

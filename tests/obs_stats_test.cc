@@ -241,6 +241,30 @@ TEST(ObsStats, RunInvariants) {
   }
 }
 
+// A run over a target with an uncoverable tuple still replaces the last
+// run's tree, so `explain analyze` never shows the previous target's.
+TEST(ObsStats, InvalidTargetRecordsItsOwnRun) {
+  ScopedStats stats;
+  Engine engine(WarehouseSigma());
+  ASSERT_TRUE(engine.Recover(WarehouseTarget()).ok());
+
+  // Available(tea) has one hom; Ledger(ann, o1) alone has none.
+  Result<Instance> invalid = ParseInstance("{Available(tea), Ledger(ann, o1)}");
+  ASSERT_TRUE(invalid.ok()) << invalid.status().ToString();
+  Result<InverseChaseResult> result = engine.Recover(*invalid);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->recoveries.empty());
+
+  obs::stats::RunStats run;
+  ASSERT_TRUE(obs::stats::LastRun(&run));
+  EXPECT_EQ(run.target_atoms, 2u);
+  EXPECT_EQ(run.num_homs, 1u);
+  EXPECT_EQ(run.num_covers, 0u);
+  EXPECT_EQ(run.recoveries, 0u);
+  EXPECT_TRUE(run.covers.empty());
+  EXPECT_GT(run.seconds_total, 0.0);
+}
+
 // The rendered tree (without timing) is byte-identical at any thread
 // count — the PARALLELISM.md determinism contract extended to stats.
 std::string RenderAt(const DependencySet& sigma, const Instance& target,

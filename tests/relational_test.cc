@@ -300,13 +300,6 @@ TEST(Instance, IndexSurvivesMutation) {
   EXPECT_EQ(PostingsSize(inst, rel, 0, Term::Constant("b")), 1u);
 }
 
-TEST(Instance, RestrictToSchema) {
-  Instance inst = I("{Rr(a), Sr(b)}");
-  Schema schema;
-  ASSERT_TRUE(schema.AddRelation("Rr", 1).ok());
-  EXPECT_EQ(inst.Restrict(schema), I("{Rr(a)}"));
-}
-
 TEST(InstanceOps, RenameNullsFresh) {
   Instance inst = I("{Rn(_X, _X), Rn(_X, _Y)}");
   NullSource source(1000);

@@ -2,7 +2,10 @@
 // fault injection, and graceful degradation through the engine facade.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/certain.h"
 #include "core/engine.h"
@@ -10,6 +13,7 @@
 #include "core/tractable.h"
 #include "datagen/scenarios.h"
 #include "logic/parser.h"
+#include "logic/printer.h"
 #include "obs/progress.h"
 #include "resilience/degraded.h"
 #include "resilience/execution_context.h"
@@ -154,6 +158,148 @@ TEST_F(ResilienceTest, CancelledCallReturnsStructuredError) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   ASSERT_NE(result.status().budget_info(), nullptr);
   EXPECT_EQ(result.status().budget_info()->budget, "resilience.cancelled");
+}
+
+// One call's outcome with fresh null labels abstracted away: the
+// structured cancellation, any other error, or a summary of the value.
+template <typename T, typename Summarize>
+std::string Outcome(const Result<T>& result, Summarize summarize) {
+  if (result.ok()) return "ok " + summarize(*result);
+  const BudgetInfo* info = result.status().budget_info();
+  if (info != nullptr && info->budget == "resilience.cancelled") {
+    return "cancelled";
+  }
+  return "error " + result.status().ToString();
+}
+
+std::string Recoveries(const InverseChaseResult& result) {
+  return std::to_string(result.recoveries.size()) + " recoveries";
+}
+
+std::string Atoms(const Instance& instance) {
+  return std::to_string(instance.size()) + " atoms";
+}
+
+// Characterizes the prologue every Engine entry point runs: called with
+// an already-cancelled token, each call either fails with the structured
+// "resilience.cancelled" trip or returns what the same call returns with
+// no token (it reaches no checkpoint, or reads a stored recovery set).
+TEST_F(ResilienceTest, EveryEntryPointMeetsAnAlreadyCancelledToken) {
+  const Instance j = WarehouseTarget();
+  const UnionQuery q = U("Q(id) :- Order(id, cust, item)");
+  Result<ConjunctiveQuery> cq = ParseQuery("Q(id) :- Order(id, cust, item)");
+  ASSERT_TRUE(cq.ok()) << cq.status().ToString();
+
+  EngineOptions plain;
+  plain.resilience.degrade = false;
+  EngineOptions cancelled = plain;
+  cancelled.resilience.cancel = std::make_shared<resilience::CancelToken>();
+  cancelled.resilience.cancel->Cancel();
+  Engine reference(WarehouseSigma(), plain);
+  Engine engine(WarehouseSigma(), cancelled);
+  RecoveryCache stored;
+  ASSERT_TRUE(reference.RecoverDegraded(j, &stored).ok());
+
+  struct EntryPoint {
+    const char* name;
+    bool cancels;  // false: the outcome equals the no-token call's
+    std::function<std::string(const Engine&)> call;
+  };
+  const std::vector<EntryPoint> table = {
+      {"Recover", true,
+       [&](const Engine& e) { return Outcome(e.Recover(j), Recoveries); }},
+      {"IsValid", true,
+       [&](const Engine& e) {
+         return Outcome(e.IsValid(j),
+                        [](bool valid) { return std::to_string(valid); });
+       }},
+      {"CertainAnswers", true,
+       [&](const Engine& e) {
+         return Outcome(e.CertainAnswers(q, j),
+                        [](const AnswerSet& a) { return ToString(a); });
+       }},
+      {"CertainAnswersDegraded", true,
+       [&](const Engine& e) {
+         return Outcome(e.CertainAnswersDegraded(q, j),
+                        [](const resilience::Degraded<AnswerSet>& d) {
+                          return d.info.rung + " " + ToString(d.value);
+                        });
+       }},
+      {"CertainAnswersDegraded stored", false,
+       [&](const Engine& e) {
+         return Outcome(e.CertainAnswersDegraded(q, j, &stored),
+                        [](const resilience::Degraded<AnswerSet>& d) {
+                          return d.info.rung + " " + ToString(d.value);
+                        });
+       }},
+      {"RecoverDegraded", true,
+       [&](const Engine& e) {
+         return Outcome(
+             e.RecoverDegraded(j),
+             [](const resilience::Degraded<InverseChaseResult>& d) {
+               return d.info.rung + " " + Recoveries(d.value);
+             });
+       }},
+      {"RecoverDegraded stored", false,
+       [&](const Engine& e) {
+         return Outcome(
+             e.RecoverDegraded(j, &stored),
+             [](const resilience::Degraded<InverseChaseResult>& d) {
+               return d.info.rung + " " + Recoveries(d.value);
+             });
+       }},
+      {"Analyze", false,
+       [&](const Engine& e) {
+         return Outcome(e.Analyze(j), [](const TractabilityReport& r) {
+           return std::to_string(r.all_coverable) +
+                  std::to_string(r.unique_cover) +
+                  std::to_string(r.quasi_guarded_safe);
+         });
+       }},
+      {"CompleteUcqRecovery", false,
+       [&](const Engine& e) {
+         return Outcome(e.CompleteUcqRecovery(j), Atoms);
+       }},
+      {"SoundUcqAnswers", false,
+       [&](const Engine& e) { return ToString(e.SoundUcqAnswers(q, j)); }},
+      {"SubUniversal", false,
+       [&](const Engine& e) {
+         return Outcome(e.SubUniversal(j), [](const SubUniversalResult& r) {
+           return Atoms(r.instance);
+         });
+       }},
+      {"SoundCqAnswers", false,
+       [&](const Engine& e) {
+         return Outcome(e.SoundCqAnswers(*cq, j),
+                        [](const AnswerSet& a) { return ToString(a); });
+       }},
+      {"MaximumRecoveryMapping", true,
+       [&](const Engine& e) {
+         return Outcome(e.MaximumRecoveryMapping(),
+                        [](const DependencySet& d) {
+                          return std::to_string(d.size()) + " tgds";
+                        });
+       }},
+      {"BaselineRecoveredSource", true,
+       [&](const Engine& e) {
+         return Outcome(e.BaselineRecoveredSource(j), Atoms);
+       }},
+      {"Repair", true,
+       [&](const Engine& e) {
+         return Outcome(e.Repair(j), [](const RepairResult& r) {
+           return std::to_string(r.maximal_valid_subsets.size()) +
+                  " subsets";
+         });
+       }},
+      {"RepairGreedy", true,
+       [&](const Engine& e) { return Outcome(e.RepairGreedy(j), Atoms); }},
+  };
+  for (const EntryPoint& entry : table) {
+    SCOPED_TRACE(entry.name);
+    const std::string expected = entry.call(reference);
+    EXPECT_NE(expected, "cancelled");
+    EXPECT_EQ(entry.call(engine), entry.cancels ? "cancelled" : expected);
+  }
 }
 
 TEST_F(ResilienceTest, ExpiredDeadlineDegradesCertToSoundAnswers) {

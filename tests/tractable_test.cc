@@ -87,31 +87,6 @@ TEST(Tractable, CompleteRecoveryMatchesCertainAnswers) {
   EXPECT_EQ(via_recovery, *via_cert);
 }
 
-TEST(Tractable, KBoundedRecoverySet) {
-  // Two covers: k = 2 succeeds, k = 1 fails.
-  DependencySet sigma = S("Rtd(x) -> Std(x); Mtd(y) -> Std(y)");
-  Instance j = I("{Std(a)}");
-  Result<std::vector<Instance>> two = KBoundedRecoverySet(sigma, j, 3);
-  ASSERT_TRUE(two.ok()) << two.status().ToString();
-  EXPECT_EQ(two->size(), 3u);
-  Result<std::vector<Instance>> one = KBoundedRecoverySet(sigma, j, 1);
-  EXPECT_FALSE(one.ok());
-  EXPECT_EQ(one.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(Tractable, KBoundedCertainAnswersMatchExact) {
-  DependencySet sigma = S("Rte(x) -> Ste(x); Mte(y) -> Ste(y)");
-  Instance j = I("{Ste(a)}");
-  Result<std::vector<Instance>> recoveries =
-      KBoundedRecoverySet(sigma, j, 3);
-  ASSERT_TRUE(recoveries.ok());
-  UnionQuery q = U("Q(x) :- Rte(x) | Q(x) :- Mte(x)");
-  AnswerSet via_k = CertainAnswersOver(q, *recoveries);
-  Result<AnswerSet> exact = internal::CertainAnswers(q, sigma, j);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(via_k, *exact);
-}
-
 TEST(Tractable, MaximalSubsetOnMixedTarget) {
   DependencySet sigma = PairScenario::Sigma();
   Instance j = PairScenario::Target(3, 2);
