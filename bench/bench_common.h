@@ -8,9 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -126,40 +128,87 @@ class JsonReporter {
 
 // Console reporter that also tees every google-benchmark run into a
 // JsonReporter row, for the BENCHMARK()-based binaries.
+//
+// Under --benchmark_repetitions=N a benchmark's N runs become one row:
+// real_time and cpu_time are their medians, `real_time_iqr` the distance
+// between the quartiles of real_time (same unit), `repetitions` is N, and
+// the counters are the last run's. google-benchmark's own aggregate rows
+// (`<name>_median`, `_mean`, ...) are teed only when the single runs were
+// not seen (--benchmark_report_aggregates_only).
 class JsonTeeReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonTeeReporter(JsonReporter* json) : json_(json) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      JsonReporter::Row& row =
-          json_->NewRow()
-              .Put("name", run.benchmark_name())
-              .Put("iterations", static_cast<size_t>(run.iterations))
-              .Put("real_time", run.GetAdjustedRealTime())
-              .Put("cpu_time", run.GetAdjustedCPUTime())
-              .Put("time_unit", benchmark::GetTimeUnitString(run.time_unit));
-      if (!run.counters.empty()) {
-        // User counters (state.counters[...]) as a nested object, so
-        // access-path numbers ride the same history as the timings.
-        std::string counters = "{";
-        bool first = true;
-        for (const auto& [name, counter] : run.counters) {
-          if (!first) counters += ",";
-          first = false;
-          char value[32];
-          std::snprintf(value, sizeof(value), "%.6g", counter.value);
-          counters += "\"" + obs::JsonEscape(name) + "\":" + value;
+      if (run.run_type == Run::RT_Aggregate) {
+        if (repeated_.count(run.run_name.str()) == 0) {
+          AddRow(run, run.GetAdjustedRealTime(), run.GetAdjustedCPUTime());
         }
-        counters += "}";
-        row.PutJson("counters", counters);
+      } else if (run.repetitions <= 1) {
+        AddRow(run, run.GetAdjustedRealTime(), run.GetAdjustedCPUTime());
+      } else {
+        Repeated& seen = repeated_[run.run_name.str()];
+        seen.real_times.push_back(run.GetAdjustedRealTime());
+        seen.cpu_times.push_back(run.GetAdjustedCPUTime());
+        if (static_cast<int64_t>(seen.real_times.size()) ==
+            run.repetitions) {
+          AddRow(run, Quantile(seen.real_times, 0.5),
+                 Quantile(seen.cpu_times, 0.5))
+              .Put("repetitions", seen.real_times.size())
+              .Put("real_time_iqr", Quantile(seen.real_times, 0.75) -
+                                        Quantile(seen.real_times, 0.25));
+        }
       }
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
  private:
+  struct Repeated {
+    std::vector<double> real_times;
+    std::vector<double> cpu_times;
+  };
+
+  // The p-quantile of `values`, interpolated linearly between ranks.
+  static double Quantile(std::vector<double> values, double p) {
+    std::sort(values.begin(), values.end());
+    const double rank = p * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (rank - static_cast<double>(lo)) *
+                            (values[hi] - values[lo]);
+  }
+
+  JsonReporter::Row& AddRow(const Run& run, double real_time,
+                            double cpu_time) {
+    JsonReporter::Row& row =
+        json_->NewRow()
+            .Put("name", run.benchmark_name())
+            .Put("iterations", static_cast<size_t>(run.iterations))
+            .Put("real_time", real_time)
+            .Put("cpu_time", cpu_time)
+            .Put("time_unit", benchmark::GetTimeUnitString(run.time_unit));
+    if (!run.counters.empty()) {
+      // User counters (state.counters[...]) as a nested object, so
+      // access-path numbers ride the same history as the timings.
+      std::string counters = "{";
+      bool first = true;
+      for (const auto& [name, counter] : run.counters) {
+        if (!first) counters += ",";
+        first = false;
+        char value[32];
+        std::snprintf(value, sizeof(value), "%.6g", counter.value);
+        counters += "\"" + obs::JsonEscape(name) + "\":" + value;
+      }
+      counters += "}";
+      row.PutJson("counters", counters);
+    }
+    return row;
+  }
+
   JsonReporter* json_;
+  std::map<std::string, Repeated> repeated_;
 };
 
 }  // namespace dxrec

@@ -22,6 +22,7 @@
 #include "obs/profiler.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "relational/columnar.h"
 
 namespace dxrec {
 namespace {
@@ -275,6 +276,24 @@ void BM_AllCovers(benchmark::State& state) {
 }
 BENCHMARK(BM_AllCovers)
     ->ArgNames({"n"})
+    ->Arg(1536)
+    ->Unit(benchmark::kMicrosecond);
+
+// One columnar snapshot of the Projection target: the term dictionary,
+// the columns and the postings a hom search over J reads. A cold call
+// builds one for each instance it searches.
+void BM_ColumnarSnapshot(benchmark::State& state) {
+  Instance j = ProjectionScenario::Target(static_cast<size_t>(state.range(0)));
+  auto body = [&] {
+    ColumnarInstance snapshot(j);
+    benchmark::DoNotOptimize(snapshot.dict().size());
+  };
+  for (auto _ : state) body();
+  ReportAllocsPerIter(state, body);
+}
+BENCHMARK(BM_ColumnarSnapshot)
+    ->ArgNames({"n"})
+    ->Arg(6)
     ->Arg(1536)
     ->Unit(benchmark::kMicrosecond);
 

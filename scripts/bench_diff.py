@@ -24,9 +24,14 @@ back to a pre-threads-dimension baseline row (same identity, no threads
 field), and threads>1 rows with no baseline partner are reported as new
 parallel rows rather than counted unmatched.
 
-A row regresses when current > baseline * (1 + --threshold). Rows where
-both sides are under --min-time-ms are skipped as noise. Exit status is
-1 when any regression is found, unless --warn-only.
+A row regresses when current > baseline * (1 + --threshold). A row
+recorded with --benchmark_repetitions carries its median as real_time
+and the distance between its quartiles as real_time_iqr; when either
+side has one, the larger IQR is the row's noise band instead: the row
+regresses when current > baseline + band and improves when current <
+baseline - band. Rows where both sides are under --min-time-ms are
+skipped as noise. Exit status is 1 when any regression is found, unless
+--warn-only.
 
 --speedup takes a single report and, for every row group differing only
 in thread count, prints real_time(threads=1) / real_time(threads=N).
@@ -42,7 +47,7 @@ import sys
 
 # Output fields excluded from the row identity for experiment rows.
 TIMING_KEYS = {"time_ms", "real_time", "cpu_time", "iterations",
-               "time_unit"}
+               "time_unit", "real_time_iqr", "repetitions"}
 
 THREADS_RE = re.compile(r"/threads:(\d+)")
 
@@ -103,6 +108,14 @@ def row_time_ms(row):
     return None
 
 
+def row_iqr_ms(row):
+    """The row's real_time IQR in ms, or None for a single run."""
+    if "real_time_iqr" not in row:
+        return None
+    scale = TIME_UNIT_TO_MS.get(row.get("time_unit", "ns"), 1e-6)
+    return float(row["real_time_iqr"]) * scale
+
+
 def key_label(key):
     if isinstance(key, tuple) and len(key) == 2 and key[0] == "name":
         return key[1]
@@ -121,7 +134,7 @@ def diff_experiment(name, base, cur, threshold, min_time_ms):
         t = row_time_ms(row)
         if t is None:
             continue
-        base_rows[row_key(row)] = t
+        base_rows[row_key(row)] = (t, row_iqr_ms(row))
         if row_threads(row) is None:
             base_seq.setdefault(sequential_key(row), row_key(row))
     regressions, improvements = [], []
@@ -145,16 +158,23 @@ def diff_experiment(name, base, cur, threshold, min_time_ms):
             else:
                 unmatched += 1
                 continue
-        b = base_rows.pop(key)
+        b, base_iqr = base_rows.pop(key)
         if b < min_time_ms and t < min_time_ms:
             continue  # both under the noise floor
         compared += 1
         delta = (t - b) / b if b > 0 else float("inf")
         line = (f"{key_label(row_key(row))}: {b:.3f}ms -> {t:.3f}ms "
                 f"({delta:+.1%})")
-        if delta > threshold:
+        iqrs = [q for q in (base_iqr, row_iqr_ms(row)) if q is not None]
+        if iqrs:
+            band = max(iqrs)
+            line += f" [IQR band {band:.3f}ms]"
+            regressed, improved = t - b > band, b - t > band
+        else:
+            regressed, improved = delta > threshold, delta < -threshold
+        if regressed:
             regressions.append(line)
-        elif delta < -threshold:
+        elif improved:
             improvements.append(line)
     unmatched += len(base_rows)  # baseline rows with no current partner
     return regressions, improvements, compared, unmatched, new_parallel
@@ -207,7 +227,8 @@ def main():
                         help="omitted in --speedup mode")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative slowdown treated as a regression "
-                             "(default 0.10 = 10%%)")
+                             "on rows without an IQR (default 0.10 = "
+                             "10%%)")
     parser.add_argument("--min-time-ms", type=float, default=1.0,
                         help="skip rows where both sides are faster than "
                              "this (noise floor, default 1.0)")
@@ -265,8 +286,9 @@ def main():
         print(f"{name}: report disappeared from current run")
 
     if total_regressions and not args.warn_only:
-        print(f"bench_diff: {total_regressions} regression(s) over "
-              f"+{args.threshold:.0%}", file=sys.stderr)
+        print(f"bench_diff: {total_regressions} regression(s) beyond "
+              f"the noise band (IQR, or +{args.threshold:.0%})",
+              file=sys.stderr)
         return 1
     return 0
 

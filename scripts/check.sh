@@ -31,8 +31,9 @@
 # Also enforces source-level invariants (budget failures must go through
 # obs::BudgetExhausted; every src/ header is reached by something besides
 # its own tests) and, with DXREC_CHECK_BENCH=1, records a
-# bench_e8 perf snapshot under bench_history/ and diffs it against the
-# previous snapshot via scripts/bench_diff.py (warn-only). The same
+# bench_e8 perf snapshot (median and IQR of 10 repetitions per row) under
+# bench_history/ and diffs it against the previous snapshot via
+# scripts/bench_diff.py (warn-only, IQR noise bands). The same
 # stage gates the parallel engine: the snapshot's threads=1 vs threads=N
 # rows must reach DXREC_BENCH_MIN_SPEEDUP (default 2.5x, 0 to skip).
 #
@@ -388,8 +389,11 @@ if [ "${DXREC_CHECK_BENCH:-0}" = "1" ]; then
   fi
   snap="bench_history/$(date +%Y%m%d_%H%M%S)"
   mkdir -p "$snap"
+  # Ten repetitions: each BENCH_E8.json row holds their median and IQR,
+  # and bench_diff.py takes the IQR as the row's noise band.
   DXREC_BENCH_JSON_DIR="$snap" "$bench_bin" \
-      --benchmark_min_time=0.05 >"$snap/stdout.txt" 2>&1
+      --benchmark_min_time=0.05 --benchmark_repetitions=10 \
+      >"$snap/stdout.txt" 2>&1
   prev=$(ls -1d bench_history/*/ 2>/dev/null | sed 's:/$::' \
       | grep -v "^$snap\$" | sort | tail -n 1 || true)
   if [ -n "$prev" ]; then

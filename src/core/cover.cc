@@ -2,89 +2,24 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 
 #include "obs/events.h"
 
 namespace dxrec {
 
-namespace {
-
-// Minimal dynamic bitset for coverage masks.
-class Bits {
- public:
-  explicit Bits(size_t n) : n_(n), words_((n + 63) / 64, 0) {}
-
-  void Set(size_t i) { words_[i >> 6] |= (1ull << (i & 63)); }
-  bool Test(size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ull;
-  }
-  void OrWith(const Bits& other) {
-    for (size_t w = 0; w < words_.size(); ++w) words_[w] |= other.words_[w];
-  }
-  bool Covers(const Bits& other) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      if ((other.words_[w] & ~words_[w]) != 0) return false;
-    }
-    return true;
-  }
-  // Covers(other) of the union of *this and `extra`, without building it.
-  bool CoversWith(const Bits& extra, const Bits& other) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      if ((other.words_[w] & ~(words_[w] | extra.words_[w])) != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-  bool All() const {
-    size_t full = n_ / 64;
-    for (size_t w = 0; w < full; ++w) {
-      if (words_[w] != ~0ull) return false;
-    }
-    size_t rest = n_ & 63;
-    if (rest != 0) {
-      uint64_t mask = (1ull << rest) - 1;
-      if ((words_[full] & mask) != mask) return false;
-    }
-    return true;
-  }
-  // First index in `universe` (a bit mask) not set in *this; -1 if none.
-  int64_t FirstUncovered(const Bits& universe) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t missing = universe.words_[w] & ~words_[w];
-      if (missing != 0) {
-        return static_cast<int64_t>(w * 64 +
-                                    __builtin_ctzll(missing));
-      }
-    }
-    return -1;
-  }
-
- private:
-  size_t n_;
-  std::vector<uint64_t> words_;
-};
-
-}  // namespace
-
 CoverProblem::CoverProblem(const DependencySet& sigma,
                            const Instance& target,
                            const std::vector<HeadHom>& homs) {
   num_tuples_ = target.size();
-  // Map each target tuple to its index.
-  std::unordered_map<Atom, uint32_t, AtomHash> tuple_index;
-  for (uint32_t i = 0; i < target.atoms().size(); ++i) {
-    tuple_index.emplace(target.atoms()[i], i);
-  }
   coverage_.resize(homs.size());
   covered_by_.assign(num_tuples_, {});
   for (size_t i = 0; i < homs.size(); ++i) {
     // J_h as tuple indices: the image of each head atom.
     std::vector<uint32_t>& tuples = coverage_[i];
     for (const Atom& a : sigma.at(homs[i].tgd).head()) {
-      auto it = tuple_index.find(a.Apply(homs[i].hom));
-      if (it != tuple_index.end()) tuples.push_back(it->second);
+      if (std::optional<uint32_t> t = target.IndexOf(a.Apply(homs[i].hom))) {
+        tuples.push_back(*t);
+      }
     }
     std::sort(tuples.begin(), tuples.end());
     tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
@@ -114,121 +49,191 @@ struct Budget {
                options.context) {}
 };
 
-// Recursively enumerates all subsets of homs [i..m) whose union with
-// `covered` covers `universe`. `suffix_union[i]` is the union of coverage
-// of homs i..m-1. `forced[i]` marks a hom that is the only coverer of
-// some tuple (Thm. 7's uniquely covered tuples): every cover contains it.
-Status AllCoversRec(const std::vector<Bits>& hom_bits,
-                    const std::vector<Bits>& suffix_union,
-                    const std::vector<bool>& forced,
-                    const Bits& universe, size_t i, Bits covered,
-                    Cover* current, std::vector<Cover>* out,
-                    Budget* budget) {
-  if (!budget->nodes.Consume()) return budget->nodes.Exhausted();
-  if (i == hom_bits.size()) {
-    // A complete include/exclude assignment; emit iff it covers. Each
-    // subset reaches exactly one leaf, so there are no duplicates.
-    if (covered.Covers(universe)) {
-      if (!budget->covers.Consume()) return budget->covers.Exhausted();
-      out->push_back(*current);
+// The include/exclude enumeration behind AllCoversInto, on per-tuple
+// cover counts. Level i decides hom i: exclude first, then include, so
+// covers come out in the order of counting up with hom 0 as the most
+// significant bit.
+//
+// A node at level i is dead once some tuple is neither covered by an
+// included hom nor covered by any hom at or after i. The tuples that
+// lose their last chance at level i are dying(i): those nothing covers
+// for i = 0, and those whose last coverer is hom i - 1 otherwise. The
+// parent at level i - 1 already checked every earlier dying list, and
+// counts only grow along a path, so checking dying(i) decides the node:
+// it is the prune above a leaf and the cover test at one.
+class AllCoversSearch {
+ public:
+  AllCoversSearch(const std::vector<std::vector<uint32_t>>& coverage,
+                  const std::vector<std::vector<uint32_t>>& covered_by,
+                  const CoverOptions& options, std::vector<Cover>* out)
+      : coverage_(coverage),
+        count_(covered_by.size(), 0),
+        dying_begin_(coverage.size() + 2, 0),
+        forced_(coverage.size(), false),
+        out_(out),
+        budget_(options) {
+    // dying(k) is dying_[dying_begin_[k] .. dying_begin_[k + 1]), filled
+    // by a counting sort on the last coverer (covered_by is ascending).
+    auto slot = [](const std::vector<uint32_t>& homs) {
+      return homs.empty() ? size_t{0} : size_t{homs.back()} + 1;
+    };
+    for (const auto& homs : covered_by) ++dying_begin_[slot(homs) + 1];
+    for (size_t k = 1; k < dying_begin_.size(); ++k) {
+      dying_begin_[k] += dying_begin_[k - 1];
     }
-    return Status::Ok();
-  }
-  // Prune: the remaining homs must be able to finish the job.
-  if (!covered.CoversWith(suffix_union[i], universe)) return Status::Ok();
-
-  // Exclude hom i. For a forced hom that branch leaves its unique tuple
-  // unreachable, so it would stop at its first node; charge that node
-  // without the visit so cover.nodes reads the same either way.
-  if (forced[i]) {
-    if (!budget->nodes.Consume()) return budget->nodes.Exhausted();
-  } else {
-    Status status = AllCoversRec(hom_bits, suffix_union, forced, universe,
-                                 i + 1, covered, current, out, budget);
-    if (!status.ok()) return status;
-  }
-  // Include hom i.
-  covered.OrWith(hom_bits[i]);
-  current->push_back(i);
-  Status status = AllCoversRec(hom_bits, suffix_union, forced, universe,
-                               i + 1, std::move(covered), current, out,
-                               budget);
-  current->pop_back();
-  return status;
-}
-
-// Branch-and-dedup enumeration of minimal covers of `universe`.
-Status MinimalCoversRec(const std::vector<Bits>& hom_bits,
-                        const std::vector<std::vector<uint32_t>>& covered_by,
-                        const Bits& universe, Bits covered,
-                        std::vector<bool> excluded, Cover* current,
-                        std::set<Cover>* out, Budget* budget) {
-  if (!budget->nodes.Consume()) return budget->nodes.Exhausted();
-  int64_t tuple = covered.FirstUncovered(universe);
-  if (tuple < 0) {
-    // Cover complete. Minimality is verified by the caller
-    // (IsMinimalCover); here we only record the candidate, sorted for
-    // set-dedup.
-    Cover sorted = *current;
-    std::sort(sorted.begin(), sorted.end());
-    if (out->insert(sorted).second) {
-      if (!budget->covers.Consume()) return budget->covers.Exhausted();
+    dying_.resize(covered_by.size());
+    std::vector<uint32_t> next(dying_begin_.begin(), dying_begin_.end() - 1);
+    for (uint32_t t = 0; t < covered_by.size(); ++t) {
+      dying_[next[slot(covered_by[t])]++] = t;
+      // Thm. 7's uniquely covered tuples: every cover holds their hom.
+      if (covered_by[t].size() == 1) forced_[covered_by[t][0]] = true;
     }
-    return Status::Ok();
   }
-  for (uint32_t h : covered_by[static_cast<size_t>(tuple)]) {
-    if (excluded[h]) continue;
-    Bits with = covered;
-    with.OrWith(hom_bits[h]);
-    current->push_back(h);
-    Status status = MinimalCoversRec(hom_bits, covered_by, universe, with,
-                                     excluded, current, out, budget);
-    current->pop_back();
-    if (!status.ok()) return status;
-    excluded[h] = true;  // avoid rediscovering the same sets
-  }
-  return Status::Ok();
-}
 
-bool IsMinimalCover(const std::vector<Bits>& hom_bits, const Bits& universe,
-                    const Cover& cover, size_t num_bits) {
-  for (size_t drop = 0; drop < cover.size(); ++drop) {
-    Bits acc(num_bits);
-    for (size_t i = 0; i < cover.size(); ++i) {
-      if (i == drop) continue;
-      acc.OrWith(hom_bits[cover[i]]);
+  Status Run() { return Visit(0); }
+
+ private:
+  bool DyingCovered(size_t i) const {
+    for (uint32_t k = dying_begin_[i]; k < dying_begin_[i + 1]; ++k) {
+      if (count_[dying_[k]] == 0) return false;
     }
-    if (acc.Covers(universe)) return false;  // cover[drop] redundant
+    return true;
   }
-  return true;
+
+  Status Visit(size_t i) {
+    if (!budget_.nodes.Consume()) return budget_.nodes.Exhausted();
+    if (!DyingCovered(i)) return Status::Ok();
+    if (i == coverage_.size()) {
+      // A complete include/exclude assignment that covers. Each subset
+      // reaches exactly one leaf, so there are no duplicates.
+      if (!budget_.covers.Consume()) return budget_.covers.Exhausted();
+      out_->push_back(current_);
+      return Status::Ok();
+    }
+    // Exclude hom i. For a forced hom that branch leaves its unique tuple
+    // unreachable, so it would stop at its first node; charge that node
+    // without the visit so cover.nodes reads the same either way.
+    if (forced_[i]) {
+      if (!budget_.nodes.Consume()) return budget_.nodes.Exhausted();
+    } else {
+      Status status = Visit(i + 1);
+      if (!status.ok()) return status;
+    }
+    // Include hom i.
+    for (uint32_t t : coverage_[i]) ++count_[t];
+    current_.push_back(i);
+    Status status = Visit(i + 1);
+    current_.pop_back();
+    for (uint32_t t : coverage_[i]) --count_[t];
+    return status;
+  }
+
+  const std::vector<std::vector<uint32_t>>& coverage_;
+  // Included homs covering each tuple.
+  std::vector<uint32_t> count_;
+  std::vector<uint32_t> dying_begin_;
+  std::vector<uint32_t> dying_;
+  std::vector<bool> forced_;
+  Cover current_;
+  std::vector<Cover>* out_;
+  Budget budget_;
+};
+
+// Branch-and-exclude enumeration of the minimal covers of `universe`
+// (sorted target tuple indices), on per-tuple cover counts: each node
+// branches on the homs covering its first uncovered tuple, in hom order,
+// and excludes each hom from the later branches once its own returns.
+// Candidates are collected sorted in `out`; minimality is checked after.
+class MinimalCoversSearch {
+ public:
+  MinimalCoversSearch(const std::vector<std::vector<uint32_t>>& coverage,
+                      const std::vector<std::vector<uint32_t>>& covered_by,
+                      std::vector<uint32_t> universe,
+                      const CoverOptions& options, std::set<Cover>* out)
+      : coverage_(coverage),
+        covered_by_(covered_by),
+        universe_(std::move(universe)),
+        count_(covered_by.size(), 0),
+        excluded_(coverage.size(), false),
+        out_(out),
+        budget_(options) {}
+
+  Status Run() { return Visit(0); }
+
+ private:
+  // `from`: universe_[0 .. from) is covered, as coverage only grows
+  // along a path.
+  Status Visit(size_t from) {
+    if (!budget_.nodes.Consume()) return budget_.nodes.Exhausted();
+    while (from < universe_.size() && count_[universe_[from]] > 0) ++from;
+    if (from == universe_.size()) {
+      Cover sorted = current_;
+      std::sort(sorted.begin(), sorted.end());
+      if (out_->insert(std::move(sorted)).second) {
+        if (!budget_.covers.Consume()) return budget_.covers.Exhausted();
+      }
+      return Status::Ok();
+    }
+    // Exclusions made here last until this node returns; undo_ holds
+    // those of every open node, innermost last.
+    const size_t undo_mark = undo_.size();
+    Status status;
+    for (uint32_t h : covered_by_[universe_[from]]) {
+      if (excluded_[h]) continue;
+      for (uint32_t t : coverage_[h]) ++count_[t];
+      current_.push_back(h);
+      status = Visit(from + 1);
+      current_.pop_back();
+      for (uint32_t t : coverage_[h]) --count_[t];
+      if (!status.ok()) break;
+      excluded_[h] = true;  // avoid rediscovering the same sets
+      undo_.push_back(h);
+    }
+    for (size_t k = undo_mark; k < undo_.size(); ++k) {
+      excluded_[undo_[k]] = false;
+    }
+    undo_.resize(undo_mark);
+    return status;
+  }
+
+  const std::vector<std::vector<uint32_t>>& coverage_;
+  const std::vector<std::vector<uint32_t>>& covered_by_;
+  const std::vector<uint32_t> universe_;
+  std::vector<uint32_t> count_;
+  std::vector<bool> excluded_;
+  std::vector<uint32_t> undo_;
+  Cover current_;
+  std::set<Cover>* out_;
+  Budget budget_;
+};
+
+// True iff no hom of `cover` (which covers `in_universe`) is redundant:
+// each covers some universe tuple no other hom of the cover does.
+bool IsMinimalCover(const std::vector<std::vector<uint32_t>>& coverage,
+                    const std::vector<bool>& in_universe, const Cover& cover,
+                    std::vector<uint32_t>* count) {
+  for (size_t h : cover) {
+    for (uint32_t t : coverage[h]) ++(*count)[t];
+  }
+  bool minimal = true;
+  for (size_t h : cover) {
+    bool needed = false;
+    for (uint32_t t : coverage[h]) {
+      needed = needed || (in_universe[t] && (*count)[t] == 1);
+    }
+    minimal = minimal && needed;
+  }
+  for (size_t h : cover) {
+    for (uint32_t t : coverage[h]) --(*count)[t];
+  }
+  return minimal;
 }
 
 }  // namespace
 
 Status CoverProblem::AllCoversInto(const CoverOptions& options,
                                    std::vector<Cover>* out) const {
-  std::vector<Bits> hom_bits;
-  hom_bits.reserve(coverage_.size());
-  for (const auto& tuples : coverage_) {
-    Bits b(num_tuples_);
-    for (uint32_t t : tuples) b.Set(t);
-    hom_bits.push_back(b);
-  }
-  Bits universe(num_tuples_);
-  for (size_t t = 0; t < num_tuples_; ++t) universe.Set(t);
-  std::vector<Bits> suffix_union(hom_bits.size() + 1, Bits(num_tuples_));
-  for (size_t i = hom_bits.size(); i-- > 0;) {
-    suffix_union[i] = suffix_union[i + 1];
-    suffix_union[i].OrWith(hom_bits[i]);
-  }
-  std::vector<bool> forced(hom_bits.size(), false);
-  for (const auto& homs : covered_by_) {
-    if (homs.size() == 1) forced[homs[0]] = true;
-  }
-  Cover current;
-  Budget budget(options);
-  return AllCoversRec(hom_bits, suffix_union, forced, universe, 0,
-                      Bits(num_tuples_), &current, out, &budget);
+  return AllCoversSearch(coverage_, covered_by_, options, out).Run();
 }
 
 Status CoverProblem::MinimalCoversInto(const CoverOptions& options,
@@ -242,28 +247,23 @@ Status CoverProblem::MinimalCoversInto(const CoverOptions& options,
 Status CoverProblem::MinimalCoversOfInto(const std::vector<uint32_t>& tuples,
                                          const CoverOptions& options,
                                          std::vector<Cover>* out) const {
-  std::vector<Bits> hom_bits;
-  hom_bits.reserve(coverage_.size());
-  for (const auto& covered : coverage_) {
-    Bits b(num_tuples_);
-    for (uint32_t t : covered) b.Set(t);
-    hom_bits.push_back(b);
+  std::vector<bool> in_universe(num_tuples_, false);
+  for (uint32_t t : tuples) in_universe[t] = true;
+  std::vector<uint32_t> universe;
+  for (uint32_t t = 0; t < num_tuples_; ++t) {
+    if (in_universe[t]) universe.push_back(t);
   }
-  Bits universe(num_tuples_);
-  for (uint32_t t : tuples) universe.Set(t);
-
   std::set<Cover> found;
-  Cover current;
-  Budget budget(options);
-  Status status = MinimalCoversRec(
-      hom_bits, covered_by_, universe, Bits(num_tuples_),
-      std::vector<bool>(coverage_.size(), false), &current, &found, &budget);
+  Status status = MinimalCoversSearch(coverage_, covered_by_,
+                                      std::move(universe), options, &found)
+                      .Run();
 
   // Filter even the partial set on error: minimality of a cover is
   // intrinsic (no element redundant), not relative to the other covers,
   // so a truncated enumeration still yields only correct entries.
+  std::vector<uint32_t> count(num_tuples_, 0);
   for (const Cover& cover : found) {
-    if (IsMinimalCover(hom_bits, universe, cover, num_tuples_)) {
+    if (IsMinimalCover(coverage_, in_universe, cover, &count)) {
       out->push_back(cover);
     }
   }

@@ -88,6 +88,11 @@ class Engine::Call {
         context_(Arm(engine.options_.resilience, &ctx_)) {}
 
   const resilience::ExecutionContext* context() const { return context_; }
+  // The armed context at entry, for entry points whose phases may reach
+  // no checkpoint on a small input.
+  Status CheckPoint(const char* site, const char* phase) const {
+    return resilience::CheckPoint(context_, site, phase);
+  }
   InverseChaseOptions Inverse() const {
     return engine_.options_.ToInverseChaseOptions(
         context_, engine_.pool_.get(), engine_.sub_cache_.get());
@@ -264,12 +269,17 @@ Result<resilience::Degraded<InverseChaseResult>> Engine::RecoverDegraded(
 
 Result<TractabilityReport> Engine::Analyze(const Instance& target) const {
   Call call(*this);
+  Status entry = call.CheckPoint("engine.analyze", "analyze");
+  if (!entry.ok()) return entry;
   return internal::AnalyzeTractability(
       sigma_, target, options_.ToSubsumptionOptions(call.context()));
 }
 
 Result<Instance> Engine::CompleteUcqRecovery(const Instance& target) const {
   Call call(*this);
+  Status entry =
+      call.CheckPoint("engine.complete_ucq_recovery", "complete_ucq");
+  if (!entry.ok()) return entry;
   return internal::CompleteUcqRecovery(
       sigma_, target, options_.ToSubsumptionOptions(call.context()));
 }
@@ -282,6 +292,8 @@ AnswerSet Engine::SoundUcqAnswers(const UnionQuery& query,
 
 Result<SubUniversalResult> Engine::SubUniversal(const Instance& target) const {
   Call call(*this);
+  Status entry = call.CheckPoint("engine.sub_universal", "sub_universal");
+  if (!entry.ok()) return entry;
   return internal::ComputeCqSubUniversal(
       sigma_, target, options_.ToSubUniversalOptions(call.context()));
 }
@@ -289,6 +301,8 @@ Result<SubUniversalResult> Engine::SubUniversal(const Instance& target) const {
 Result<AnswerSet> Engine::SoundCqAnswers(const ConjunctiveQuery& query,
                                          const Instance& target) const {
   Call call(*this);
+  Status entry = call.CheckPoint("engine.sound_cq_answers", "sound_cq");
+  if (!entry.ok()) return entry;
   return internal::SoundCqAnswers(
       query, sigma_, target, options_.ToSubUniversalOptions(call.context()));
 }

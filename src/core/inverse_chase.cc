@@ -70,6 +70,26 @@ CandidateKey KeyOf(std::vector<Atom> atoms) {
   return key;
 }
 
+// A hash of `instance` up to renaming its nulls: of its size and the
+// multiset of its atoms with every null erased. Isomorphic instances
+// (nulls to nulls, constants fixed) always share it, so merge's
+// isomorphism dedup compares only recoveries of one shape.
+size_t ShapeHash(const Instance& instance) {
+  size_t shape = instance.size();
+  for (const Atom& a : instance.atoms()) {
+    uint64_t h = a.relation();
+    for (Term t : a.args()) {
+      const uint64_t arg = t.is_null() ? 0 : TermHash()(t);
+      h ^= arg + 0x9e3779b9 + (h << 6) + (h >> 2);
+    }
+    // splitmix64 finalizer, then a commutative sum over the atoms.
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    shape += static_cast<size_t>(h ^ (h >> 31));
+  }
+  return shape;
+}
+
 struct CandidateKeyHash {
   size_t operator()(const CandidateKey* key) const { return key->hash; }
 };
@@ -574,19 +594,21 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
   run_stats.target_atoms = target.size();
   Stopwatch total_sw;
   Stopwatch phase_sw;
-  // Finalize total wall time on every early exit.
-  auto fail = [&](Status status) {
-    result.stats.seconds_total = total_sw.ElapsedSeconds();
-    return status;
-  };
-  // Publishes a completed run's tree (explain analyze, the report's
-  // "stats" section), replacing the previous run's.
+  // Publishes the run's tree (explain analyze, the report's "stats"
+  // section), replacing the previous run's.
   auto record_run = [&] {
     if (!stats_on) return;
     run_stats.recoveries = result.recoveries.size();
     run_stats.seconds_total = result.stats.seconds_total;
     obs::stats::FlushRunToMetrics(run_stats);
     obs::stats::SetLastRun(std::move(run_stats));
+  };
+  // Every early exit finalizes the total wall time and records the run,
+  // partial as its tree is.
+  auto fail = [&](Status status) {
+    result.stats.seconds_total = total_sw.ElapsedSeconds();
+    record_run();
+    return status;
   };
   Status interrupt;
 
@@ -850,15 +872,25 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
 
   // Optional isomorphism dedup (CanonicalString already catches most
   // duplicates; this pass removes relabel-resistant ones). Explanations
-  // stay aligned by keeping each class's first representative.
+  // stay aligned by keeping each class's first representative. A
+  // candidate is tested only against the kept recoveries of its shape
+  // (ShapeHash), chained newest first from `newest_of_shape` through
+  // `older_of_shape`: the others cannot be isomorphic to it, and the
+  // kept ones are pairwise non-isomorphic, so at most one matches and
+  // the order of the tests does not matter.
   if (options.dedup_isomorphic && result.recoveries.size() > 1) {
+    constexpr size_t kNone = static_cast<size_t>(-1);
     std::vector<Instance> unique;
     std::vector<RecoveryExplanation> unique_explanations;
+    std::unordered_map<size_t, size_t> newest_of_shape;
+    std::vector<size_t> older_of_shape;
     for (size_t i = 0; i < result.recoveries.size(); ++i) {
       Instance& candidate = result.recoveries[i];
+      auto newest =
+          newest_of_shape.try_emplace(ShapeHash(candidate), kNone).first;
       bool duplicate = false;
-      for (const Instance& kept : unique) {
-        if (AreIsomorphic(candidate, kept)) {
+      for (size_t k = newest->second; k != kNone; k = older_of_shape[k]) {
+        if (AreIsomorphic(candidate, unique[k])) {
           duplicate = true;
           break;
         }
@@ -869,6 +901,8 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
         }
         continue;
       }
+      older_of_shape.push_back(newest->second);
+      newest->second = unique.size();
       unique.push_back(std::move(candidate));
       if (options.explain) {
         unique_explanations.push_back(std::move(result.explanations[i]));

@@ -8,15 +8,37 @@
 namespace dxrec {
 
 uint32_t TermDictionary::Encode(Term t) {
-  auto [it, inserted] =
-      codes_.try_emplace(t, static_cast<uint32_t>(terms_.size()));
-  if (inserted) terms_.push_back(t);
-  return it->second;
+  size_t i = 0;
+  if (!slots_.empty()) {
+    i = FindSlot(t);
+    if (slots_[i] != kNoCode) return slots_[i];
+  }
+  if (2 * (terms_.size() + 1) > slots_.size()) {
+    Grow();
+    i = FindSlot(t);
+  }
+  slots_[i] = static_cast<uint32_t>(terms_.size());
+  terms_.push_back(t);
+  return slots_[i];
 }
 
 uint32_t TermDictionary::Find(Term t) const {
-  auto it = codes_.find(t);
-  return it == codes_.end() ? kNoCode : it->second;
+  return slots_.empty() ? kNoCode : slots_[FindSlot(t)];
+}
+
+size_t TermDictionary::FindSlot(Term t) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = TermHash()(t) & mask;; i = (i + 1) & mask) {
+    const uint32_t code = slots_[i];
+    if (code == kNoCode || terms_[code] == t) return i;
+  }
+}
+
+void TermDictionary::Grow() {
+  slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), kNoCode);
+  for (uint32_t code = 0; code < terms_.size(); ++code) {
+    slots_[FindSlot(terms_[code])] = code;
+  }
 }
 
 std::span<const uint32_t> ColumnarRelation::Postings(uint32_t pos,

@@ -44,6 +44,10 @@ enum class InstanceLayout : uint8_t { kColumnar };
 // yields the same code; Decode(Encode(t)) == t for every term kind,
 // labeled nulls included (the dictionary stores the 8-byte interned
 // Term, so no identity is lost in the round-trip).
+//
+// Layout: `terms_` is the code -> term array; `slots_` is a
+// linear-probing table of codes (kNoCode = empty) keyed by TermHash,
+// with a power-of-two capacity at least twice the number of terms.
 class TermDictionary {
  public:
   // Sentinel for "no code": also pads short rows in mixed-arity columns.
@@ -59,8 +63,14 @@ class TermDictionary {
   size_t size() const { return terms_.size(); }
 
  private:
+  // The slot holding `t`'s code, or the empty slot ending its probe.
+  // Requires a non-empty table.
+  size_t FindSlot(Term t) const;
+  // Doubles the table (16 slots at first) and re-inserts every code.
+  void Grow();
+
   std::vector<Term> terms_;
-  std::unordered_map<Term, uint32_t, TermHash> codes_;
+  std::vector<uint32_t> slots_;
 };
 
 // One relation's tuples, column-major, with per-position postings.

@@ -66,6 +66,12 @@ std::string CanonicalString(const Instance& input) {
 std::vector<Atom> CanonicalAtoms(std::vector<Atom> atoms) {
   std::sort(atoms.begin(), atoms.end());
   atoms.erase(std::unique(atoms.begin(), atoms.end()), atoms.end());
+  // Without nulls there is nothing to renumber, and the atoms are sorted.
+  auto holds_null = [](const Atom& a) {
+    return std::any_of(a.args().begin(), a.args().end(),
+                       [](Term t) { return t.is_null(); });
+  };
+  if (std::none_of(atoms.begin(), atoms.end(), holds_null)) return atoms;
   atoms = RenumberNulls(std::move(atoms));
   std::sort(atoms.begin(), atoms.end());
   return atoms;

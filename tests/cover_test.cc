@@ -1,6 +1,7 @@
 // Unit tests for HOM(Sigma, J) and the covering enumerations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -276,6 +277,129 @@ TEST(CoverProblem, AllCoversMatchesBruteForceOnRandomProblems) {
   }
   EXPECT_GT(with_forced, 20u);
   EXPECT_GT(without_forced, 20u);
+}
+
+// --- MinimalCoversOfInto against a brute-force oracle -------------------
+
+// Every minimal subset of the homs whose union includes the target tuples
+// `tuples`, in lexicographic order.
+std::vector<Cover> BruteForceMinimalCovers(
+    const std::vector<std::set<Atom>>& covered, const Instance& target,
+    const std::vector<uint32_t>& tuples) {
+  const size_t m = covered.size();
+  auto reaches = [&](uint64_t mask) {
+    std::set<Atom> reached;
+    for (size_t i = 0; i < m; ++i) {
+      if ((mask >> i) & 1) {
+        reached.insert(covered[i].begin(), covered[i].end());
+      }
+    }
+    for (uint32_t t : tuples) {
+      if (reached.count(target.atoms()[t]) == 0) return false;
+    }
+    return true;
+  };
+  std::vector<Cover> out;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << m); ++mask) {
+    if (!reaches(mask)) continue;
+    bool minimal = true;
+    Cover subset;
+    for (size_t i = 0; i < m; ++i) {
+      if (((mask >> i) & 1) == 0) continue;
+      subset.push_back(i);
+      minimal = minimal && !reaches(mask & ~(uint64_t{1} << i));
+    }
+    if (minimal) out.push_back(subset);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Search nodes the branch-and-exclude enumeration of minimal covers
+// visits: each node branches, in hom order, on the not-yet-excluded homs
+// covering the lowest-indexed unreached tuple of `tuples` (ascending),
+// and excludes each hom once its branch returns.
+size_t ReferenceMinimalNodes(const std::vector<std::set<Atom>>& covered,
+                             const Instance& target,
+                             const std::vector<uint32_t>& tuples,
+                             const std::set<Atom>& reached,
+                             std::vector<bool> excluded) {
+  size_t nodes = 1;
+  for (uint32_t t : tuples) {
+    const Atom& tuple = target.atoms()[t];
+    if (reached.count(tuple) > 0) continue;
+    for (size_t h = 0; h < covered.size(); ++h) {
+      if (excluded[h] || covered[h].count(tuple) == 0) continue;
+      std::set<Atom> with = reached;
+      with.insert(covered[h].begin(), covered[h].end());
+      nodes += ReferenceMinimalNodes(covered, target, tuples, with, excluded);
+      excluded[h] = true;
+    }
+    break;
+  }
+  return nodes;
+}
+
+TEST(CoverProblem, MinimalCoversOfMatchesBruteForceOnRandomProblems) {
+  size_t checked = 0;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    // The corpus of AllCoversMatchesBruteForceOnRandomProblems.
+    Rng rng(7000 + seed);
+    MappingSpec spec;
+    spec.num_tgds = 1 + rng.Index(3);
+    spec.num_target_relations = 2;
+    spec.max_arity = 2;
+    const std::string tag = "kco" + std::to_string(seed);
+    DependencySet sigma = RandomMapping(spec, tag, &rng);
+    SourceSpec source_spec;
+    source_spec.num_tuples = 1 + rng.Index(4);
+    source_spec.num_constants = 3;
+    Instance source = RandomSource(sigma, source_spec, tag, &rng);
+    Instance target = ChaseTarget(sigma, source, /*ground=*/rng.Chance(0.7));
+    std::vector<HeadHom> homs = ComputeHomSet(sigma, target);
+    if (homs.empty() || homs.size() > 12) continue;
+    CoverProblem problem(sigma, target, homs);
+    if (!problem.AllTuplesCoverable()) continue;
+
+    // Every other seed asks for all of J; the rest for a random subset,
+    // passed in descending order (the tuples are read as a set).
+    Rng pick(9000 + seed);
+    std::vector<uint32_t> tuples;
+    for (uint32_t t = 0; t < target.size(); ++t) {
+      if (seed % 2 == 0 || pick.Chance(0.5)) tuples.push_back(t);
+    }
+    std::vector<uint32_t> ascending = tuples;
+    std::reverse(tuples.begin(), tuples.end());
+
+    std::vector<std::set<Atom>> covered = CoveredSets(sigma, homs);
+    std::vector<Cover> got;
+    ASSERT_TRUE(problem.MinimalCoversOfInto(tuples, CoverOptions(), &got).ok());
+    EXPECT_EQ(got, BruteForceMinimalCovers(covered, target, ascending))
+        << sigma.ToString() << "\nJ = " << target.ToString();
+    if (seed % 2 == 0) {
+      std::vector<Cover> all;
+      ASSERT_TRUE(problem.MinimalCoversInto(CoverOptions(), &all).ok());
+      EXPECT_EQ(all, got);
+    }
+
+    // The node budget trips exactly at the reference count.
+    const size_t nodes = ReferenceMinimalNodes(
+        covered, target, ascending, {}, std::vector<bool>(homs.size()));
+    CoverOptions exact;
+    exact.max_nodes = nodes;
+    std::vector<Cover> within;
+    EXPECT_TRUE(problem.MinimalCoversOfInto(tuples, exact, &within).ok())
+        << nodes;
+    EXPECT_EQ(within, got);
+    CoverOptions short_by_one;
+    short_by_one.max_nodes = nodes - 1;
+    std::vector<Cover> tripped;
+    Status status =
+        problem.MinimalCoversOfInto(tuples, short_by_one, &tripped);
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << nodes;
+    ++checked;
+  }
+  EXPECT_GT(checked, 100u);
 }
 
 }  // namespace

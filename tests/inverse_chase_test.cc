@@ -15,6 +15,7 @@
 #include "core/hom_set.h"
 #include "core/inverse_chase.h"
 #include "core/recovery.h"
+#include "datagen/generators.h"
 #include "datagen/scenarios.h"
 #include "logic/parser.h"
 #include "obs/events.h"
@@ -550,6 +551,116 @@ TEST(InverseChaseMemo, TargetWithNullsVerifiesEveryCandidate) {
     EXPECT_GE(run.covers[0].verify.searches,
               stats.num_recoveries_before_dedup * per_check);
   }
+}
+
+// --- Merge's isomorphism dedup against a quadratic pass ------------------
+
+// Merge with dedup_isomorphic on must keep exactly what a plain quadratic
+// AreIsomorphic pass keeps from the dedup-off output: each class's first
+// representative, in order, with its explanation. Counts the runs that
+// finished in `*finished` and the recoveries the dedup dropped in
+// `*dropped`.
+void ExpectDedupMatchesQuadraticPass(const std::string& name,
+                                     const DependencySet& sigma,
+                                     const Instance& target,
+                                     size_t* finished, size_t* dropped) {
+  SCOPED_TRACE(name + ": J = " + target.ToString());
+  // The budgets of columnar_diff_test's generated corpus.
+  InverseChaseOptions options;
+  options.cover.max_covers = 64;
+  options.cover.max_nodes = 1u << 16;
+  options.max_g_homs_per_cover = 128;
+  options.max_recoveries = 128;
+  options.explain = true;
+  options.dedup_isomorphic = false;
+  Result<InverseChaseResult> all =
+      internal::InverseChase(sigma, target, options);
+  options.dedup_isomorphic = true;
+  Result<InverseChaseResult> deduped =
+      internal::InverseChase(sigma, target, options);
+  ASSERT_EQ(all.ok(), deduped.ok());
+  if (!all.ok()) return;  // a budget trip, the same in both runs
+
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < all->recoveries.size(); ++i) {
+    bool duplicate = false;
+    for (size_t k : kept) {
+      duplicate = duplicate || AreIsomorphic(all->recoveries[i],
+                                             all->recoveries[k]);
+    }
+    if (!duplicate) kept.push_back(i);
+  }
+  ++*finished;
+  *dropped += all->recoveries.size() - kept.size();
+  ASSERT_EQ(deduped->recoveries.size(), kept.size());
+  ASSERT_EQ(deduped->explanations.size(), kept.size());
+  for (size_t r = 0; r < kept.size(); ++r) {
+    EXPECT_TRUE(
+        AreIsomorphic(deduped->recoveries[r], all->recoveries[kept[r]]))
+        << "recovery " << r;
+    const RecoveryExplanation& want = all->explanations[kept[r]];
+    const RecoveryExplanation& got = deduped->explanations[r];
+    ASSERT_EQ(got.cover.size(), want.cover.size()) << "explanation " << r;
+    for (size_t h = 0; h < want.cover.size(); ++h) {
+      EXPECT_EQ(got.cover[h].tgd, want.cover[h].tgd) << "explanation " << r;
+    }
+  }
+}
+
+TEST(MergeDedup, MatchesQuadraticPassOnPaperScenarios) {
+  size_t finished = 0;
+  size_t dropped = 0;
+  auto check = [&](const std::string& name, const DependencySet& sigma,
+                   const Instance& target) {
+    ExpectDedupMatchesQuadraticPass(name, sigma, target, &finished,
+                                    &dropped);
+  };
+  check("blowup", BlowupScenario::Sigma(), BlowupScenario::Target(2, 3));
+  check("triangle", TriangleScenario::Sigma(),
+        TriangleScenario::Target(2, 2));
+  check("employee", EmployeeScenario::Sigma(),
+        EmployeeScenario::Target(2, 2, 2));
+  check("projection", ProjectionScenario::Sigma(),
+        ProjectionScenario::Target(3));
+  check("self_join", SelfJoinScenario::Sigma(),
+        SelfJoinScenario::Target(2, 2));
+  check("pair", PairScenario::Sigma(), PairScenario::Target(2, 2));
+  check("fan", FanScenario::Sigma(), FanScenario::Target(3));
+  check("overlap", OverlapScenario::Sigma(), OverlapScenario::Target(2, 2));
+  EXPECT_EQ(finished, 8u);
+}
+
+TEST(MergeDedup, MatchesQuadraticPassOnGeneratedMappings) {
+  size_t finished = 0;
+  size_t dropped = 0;
+  // One source relation shared by 3-4 tgds: different covers then often
+  // yield isomorphic recoveries whose canonical keys differ.
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 7919 + 13);
+    const std::string tag = "mdd" + std::to_string(seed) + "_";
+    MappingSpec spec;
+    spec.num_tgds = 3 + rng.Index(2);
+    spec.num_source_relations = 1;
+    spec.num_target_relations = 2;
+    spec.max_body_atoms = 2;
+    spec.max_head_atoms = 2;
+    DependencySet sigma = RandomMapping(spec, tag, &rng);
+    SourceSpec source_spec;
+    source_spec.num_tuples = 3 + rng.Index(3);
+    source_spec.num_constants = 4;
+    Instance source = RandomSource(sigma, source_spec, tag, &rng);
+    for (bool ground : {true, false}) {
+      Instance target = ChaseTarget(sigma, source, ground);
+      // Small targets with at most one null keep step 7 cheap.
+      if (target.size() == 0 || target.size() > 8) continue;
+      if (!ground && target.TermsOfKind(TermKind::kNull).size() > 1) continue;
+      ExpectDedupMatchesQuadraticPass(
+          "seed " + std::to_string(seed) + (ground ? " ground" : " nulls"),
+          sigma, target, &finished, &dropped);
+    }
+  }
+  EXPECT_GT(finished, 50u);
+  EXPECT_GT(dropped, 20u);  // the dedup had work to do
 }
 
 // Prop. 1: is J a universal (resp. canonical) solution for some source?

@@ -265,6 +265,29 @@ TEST(ObsStats, InvalidTargetRecordsItsOwnRun) {
   EXPECT_GT(run.seconds_total, 0.0);
 }
 
+// A run that trips a budget still replaces the last run's tree with its
+// own, partial as it is.
+TEST(ObsStats, TrippedRunRecordsItsOwnRun) {
+  ScopedStats stats;
+  ASSERT_TRUE(Engine(WarehouseSigma()).Recover(WarehouseTarget()).ok());
+
+  EngineOptions options;
+  options.budgets.max_cover_nodes = 2;
+  Engine engine(WarehouseSigma(), options);
+  Result<Instance> target =
+      ParseInstance("{Ledger(ann, o1), Shipment(o1, tea), Available(tea)}");
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  Result<InverseChaseResult> result = engine.Recover(*target);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+
+  obs::stats::RunStats run;
+  ASSERT_TRUE(obs::stats::LastRun(&run));
+  EXPECT_EQ(run.target_atoms, 3u);
+  EXPECT_EQ(run.recoveries, 0u);
+  EXPECT_GT(run.seconds_total, 0.0);
+}
+
 // The rendered tree (without timing) is byte-identical at any thread
 // count — the PARALLELISM.md determinism contract extended to stats.
 std::string RenderAt(const DependencySet& sigma, const Instance& target,

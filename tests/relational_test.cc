@@ -231,6 +231,44 @@ TEST(Instance, DeduplicatesAcrossTableGrowth) {
   EXPECT_EQ(inst.IndexOf(Atom::Make("Ti", {})), std::nullopt);
 }
 
+// --- TermDictionary --------------------------------------------------------
+
+TEST(TermDictionary, CodesAreDenseInFirstSeenOrderAcrossGrowth) {
+  TermDictionary dict;
+  EXPECT_EQ(dict.size(), 0u);
+  EXPECT_EQ(dict.Find(Term::Constant("td0")), TermDictionary::kNoCode);
+  std::vector<Term> terms;
+  for (uint32_t i = 0; i < 5000; ++i) {
+    terms.push_back(i % 2 == 0 ? Term::Constant("td" + std::to_string(i))
+                               : Term::Null(1000000 + i));
+    EXPECT_EQ(dict.Encode(terms[i]), i);
+    // Encoding an earlier term again is a lookup, before and after growth.
+    EXPECT_EQ(dict.Encode(terms[i / 2]), i / 2);
+    EXPECT_EQ(dict.size(), i + 1);
+  }
+  for (uint32_t i = 0; i < terms.size(); ++i) {
+    EXPECT_EQ(dict.Find(terms[i]), i);
+    EXPECT_EQ(dict.Decode(dict.Encode(terms[i])), terms[i]);
+  }
+  EXPECT_EQ(dict.Find(Term::Constant("td_unseen")), TermDictionary::kNoCode);
+  EXPECT_EQ(dict.Find(Term::Null(999999)), TermDictionary::kNoCode);
+}
+
+TEST(TermDictionary, KindsWithEqualIdsGetDistinctCodes) {
+  const Term constant = Term::Constant("td_kinds");
+  const Term null = Term::FromIds(TermKind::kNull, constant.id());
+  const Term variable = Term::FromIds(TermKind::kVariable, constant.id());
+  TermDictionary dict;
+  EXPECT_EQ(dict.Encode(constant), 0u);
+  EXPECT_EQ(dict.Find(null), TermDictionary::kNoCode);
+  EXPECT_EQ(dict.Encode(null), 1u);
+  EXPECT_EQ(dict.Find(variable), TermDictionary::kNoCode);
+  EXPECT_EQ(dict.Encode(variable), 2u);
+  EXPECT_EQ(dict.Decode(0), constant);
+  EXPECT_EQ(dict.Decode(1), null);
+  EXPECT_EQ(dict.Decode(2), variable);
+}
+
 TEST(Instance, EqualityAcrossInsertionOrders) {
   const std::vector<Atom> atoms = ManyAtoms(300);
   Instance forward;
