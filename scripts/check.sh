@@ -17,6 +17,10 @@
 # whatever presets were requested — cheap enough to use while iterating
 # on the pool or the parallel inverse chase without a full tsan suite.
 #
+# With DXREC_CHECK_SOAK=1, additionally builds the release preset and
+# soaks dxrecd's churn cycle in-process (DXREC_SOAK_CYCLES, default 50k)
+# under the per-cycle variable-interning bound.
+#
 # Always runs a dxrecd serve smoke: boots the server on an ephemeral
 # port, drives it with two serve_loadgen runs at different scales,
 # validates both BENCH_SERVE summaries' percentiles + OpenMetrics + JSONL
@@ -347,6 +351,23 @@ print(f"serve fault pass: {count} requests under fault+overload, "
       f"(rungs={summary['rungs']}) shed={summary['shed']} "
       f"errors={summary['errors']} — all answered, none dropped")
 EOF
+fi
+
+# Churn soak (opt-in: builds the release preset). Runs dxrecd's churn
+# cycle in-process (open a fresh datagen mapping, analyze, certain x2,
+# recover, close) DXREC_SOAK_CYCLES times, 50k by default. The bound,
+# asserted per cycle: a cycle interns no more variables than its own
+# Sigma, J and query texts name -- renamed tgd copies (SUB(Sigma), the
+# recovery mappings) intern none, so the variable table grows only with
+# the texts it is sent.
+if [ "${DXREC_CHECK_SOAK:-0}" = "1" ]; then
+  echo "=== churn soak (release) ==="
+  cmake --preset release >/dev/null
+  cmake --build --preset release -j "$jobs" --target serve_stress_test \
+      >/dev/null
+  DXREC_SOAK_CYCLES="${DXREC_SOAK_CYCLES:-50000}" \
+      build-release/tests/serve_stress_test \
+      --gtest_filter='ServeStress.ChurnCyclesInternOnlyTheirTextsVariables'
 fi
 
 # Robustness sweep (opt-in: needs the asan preset built). Runs the

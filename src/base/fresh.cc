@@ -12,6 +12,13 @@ void NullSource::AbortExhausted() {
   std::abort();
 }
 
+void VariableRenamer::AbortExhausted() {
+  std::fprintf(stderr,
+               "dxrec: renamed variable space exhausted (one VariableRenamer "
+               "handed out all 2^31-1 ids)\n");
+  std::abort();
+}
+
 NullSource& FreshNulls() {
   static NullSource& source = *new NullSource();
   return source;

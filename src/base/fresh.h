@@ -44,9 +44,42 @@ class NullSource {
 // The process-wide null source used by default throughout the library.
 NullSource& FreshNulls();
 
-// Hands out fresh variables named "<prefix><n>" that are guaranteed not to
-// collide with other FreshVariable calls (a process-wide counter feeds n).
+// Hands out fresh variables named "$<prefix><n>" (a process-wide counter
+// feeds n) and interns them. Only DependencySet::Add and
+// DisjunctiveMapping::Add use it, to rename a variable colliding with an
+// earlier tgd's: the new name becomes part of the set.
 Term FreshVariable(const std::string& prefix = "v");
+
+// Renames variables apart without touching the symbol table: the n-th
+// variable handed out has id Term::kFirstRenamedVariableId + n and prints
+// as "$r<n>". Each computation that renames tgd copies apart (SUB(Sigma),
+// the maximum and extended recovery mappings) owns one, so n counts only
+// that computation's copies. Not thread-safe.
+class VariableRenamer {
+ public:
+  // A variable distinct from every interned one and from every variable
+  // this renamer handed out and has not rewound past.
+  Term Fresh() {
+    if (next_ == kExhausted) AbortExhausted();
+    return Term::FromIds(TermKind::kVariable,
+                         Term::kFirstRenamedVariableId + next_++);
+  }
+
+  // Everything handed out after `mark()` may be handed out again after
+  // `Rewind(mark)`: a backtracking search rewinds once it has dropped
+  // every copy renamed since the mark.
+  uint32_t mark() const { return next_; }
+  void Rewind(uint32_t mark) { next_ = mark; }
+
+ private:
+  // Id 0xffffffff is Term's invalid-id sentinel.
+  static constexpr uint32_t kExhausted =
+      0xffffffffu - Term::kFirstRenamedVariableId;
+
+  [[noreturn]] static void AbortExhausted();
+
+  uint32_t next_ = 0;
+};
 
 }  // namespace dxrec
 

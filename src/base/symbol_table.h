@@ -4,23 +4,25 @@
 #define DXREC_BASE_SYMBOL_TABLE_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace dxrec {
 
 // A bidirectional string <-> dense id map. Thread-safe. Ids are assigned in
-// interning order starting at 0 and are never recycled.
+// interning order starting at 0 and are never recycled; they stay below
+// `limit`, the first id the table may not hand out.
 class SymbolTable {
  public:
-  SymbolTable() = default;
+  explicit SymbolTable(uint32_t limit = 0xffffffffu) : limit_(limit) {}
   SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
 
-  // Returns the id for `name`, interning it if new.
+  // Returns the id for `name`, interning it if new. A hit allocates
+  // nothing. Aborts instead of handing out `limit`.
   uint32_t Intern(std::string_view name);
 
   // Returns the id for `name` or -1 if it has never been interned.
@@ -32,14 +34,22 @@ class SymbolTable {
   size_t size() const;
 
  private:
+  [[noreturn]] void AbortExhausted() const;
+
+  const uint32_t limit_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, uint32_t> ids_;
-  std::vector<std::string> names_;
+  // Keys view the strings of `names_`, whose deque never moves them.
+  std::unordered_map<std::string_view, uint32_t> ids_;
+  std::deque<std::string> names_;
 };
 
 // Process-wide interning universe shared by all schemas and instances.
-// Separate tables keep ids dense per symbol kind.
+// Separate tables keep ids dense per symbol kind. Variable ids stop below
+// Term::kFirstRenamedVariableId: the ids above it belong to variables
+// renamed apart without interning (VariableRenamer, base/fresh.h).
 struct SymbolUniverse {
+  SymbolUniverse();
+
   SymbolTable constants;
   SymbolTable variables;
   SymbolTable relations;

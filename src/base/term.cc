@@ -19,6 +19,9 @@ std::string Term::ToString() const {
     case TermKind::kConstant:
       return Symbols().constants.Name(id_);
     case TermKind::kVariable:
+      if (id_ >= kFirstRenamedVariableId) {
+        return "$r" + std::to_string(id_ - kFirstRenamedVariableId);
+      }
       return Symbols().variables.Name(id_);
     case TermKind::kNull:
       return "_N" + std::to_string(id_);

@@ -24,6 +24,11 @@ enum class TermKind : uint8_t {
 // An interned term. Trivially copyable; 8 bytes.
 class Term {
  public:
+  // Variable ids from here up are never interned: they name variables
+  // renamed apart by a VariableRenamer (base/fresh.h), and the variable
+  // symbol table refuses to reach this id.
+  static constexpr uint32_t kFirstRenamedVariableId = 1u << 31;
+
   // Default-constructed terms are an invalid sentinel; using one in an
   // instance or atom is a bug.
   Term() : kind_(TermKind::kConstant), id_(kInvalidId) {}
@@ -46,7 +51,8 @@ class Term {
   bool is_variable() const { return kind_ == TermKind::kVariable; }
   bool is_valid() const { return id_ != kInvalidId; }
 
-  // Name for constants/variables; "_N<label>" for nulls.
+  // Name for constants/variables; "_N<label>" for nulls; "$r<n>" for
+  // the variable with id kFirstRenamedVariableId + n.
   std::string ToString() const;
 
   friend bool operator==(Term a, Term b) {

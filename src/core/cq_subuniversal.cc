@@ -75,12 +75,12 @@ Result<SubUniversalResult> ComputeCqSubUniversal(
     tuple_index.emplace(target.atoms()[i], i);
   }
 
-  std::vector<SubsumptionConstraint> sub;
+  SubsumptionSet sub;
   if (options.filter_covers_by_subsumption) {
-    Result<std::vector<SubsumptionConstraint>> computed =
-        ComputeSubsumption(sigma, options.subsumption);
-    if (!computed.ok()) return computed.status();
-    sub = std::move(*computed);
+    Result<SubsumptionSet> loaded =
+        LoadSubsumption(sigma, options.subsumption);
+    if (!loaded.ok()) return loaded.status();
+    sub = std::move(*loaded);
   }
 
   for (const HeadHom& h : homs) {
@@ -105,7 +105,7 @@ Result<SubUniversalResult> ComputeCqSubUniversal(
       if (options.filter_covers_by_subsumption && covering.size() > 1) {
         std::vector<HeadHom> h_set;
         for (size_t idx : covering) h_set.push_back(homs[idx]);
-        if (!ModelsAll(h_set, sub, sigma)) continue;
+        if (!ModelsAll(h_set, *sub, sigma)) continue;
       }
       Instance generalized =
           GeneralizedSource(sigma, homs, covering, j_h, nulls);

@@ -94,15 +94,25 @@ class Engine::Call {
     return resilience::CheckPoint(context_, site, phase);
   }
   InverseChaseOptions Inverse() const {
-    return engine_.options_.ToInverseChaseOptions(
-        context_, engine_.pool_.get(), engine_.sub_cache_.get());
+    return engine_.options_.ToInverseChaseOptions(context_, engine_.pool_.get(),
+                                                  sub_cache());
   }
   RepairOptions Repair() const {
     return engine_.options_.ToRepairOptions(context_, engine_.pool_.get(),
-                                            engine_.sub_cache_.get());
+                                            sub_cache());
+  }
+  SubsumptionOptions Subsumption() const {
+    return engine_.options_.ToSubsumptionOptions(context_, sub_cache());
+  }
+  SubUniversalOptions SubUniversal() const {
+    return engine_.options_.ToSubUniversalOptions(context_, sub_cache());
   }
 
  private:
+  SubsumptionCache* sub_cache() const {
+    return engine_.mapping_->subsumption();
+  }
+
   const Engine& engine_;
   obs::ProgressScope progress_;
   resilience::ExecutionContext ctx_;
@@ -116,11 +126,12 @@ InverseChaseOptions EngineOptions::ToInverseChaseOptions(
   o.cover.max_covers = budgets.max_covers;
   o.cover.max_nodes = budgets.max_cover_nodes;
   o.cover.context = context;
-  o.subsumption = ToSubsumptionOptions(context);
+  o.subsumption = ToSubsumptionOptions(context, sub_cache);
   o.use_subsumption_filter = algorithms.use_subsumption_filter;
   o.minimal_covers_only = algorithms.minimal_covers_only;
   o.max_recoveries = budgets.max_recoveries;
   o.max_g_homs_per_cover = budgets.max_g_homs_per_cover;
+  o.max_justification_assignments = budgets.max_justification_assignments;
   o.max_cover_work = budgets.max_cover_work;
   o.dedup_isomorphic = algorithms.dedup_isomorphic;
   o.core_recoveries = algorithms.core_recoveries;
@@ -129,28 +140,30 @@ InverseChaseOptions EngineOptions::ToInverseChaseOptions(
   o.pool = pool;
   o.parallel_min_candidates = parallel.min_root_candidates;
   o.context = context;
-  o.sub_cache = sub_cache;
   return o;
 }
 
 SubsumptionOptions EngineOptions::ToSubsumptionOptions(
-    const resilience::ExecutionContext* context) const {
+    const resilience::ExecutionContext* context,
+    SubsumptionCache* sub_cache) const {
   SubsumptionOptions o;
   o.max_premises = budgets.max_sub_premises;
   o.max_constraints = budgets.max_sub_constraints;
   o.max_nodes = budgets.max_sub_nodes;
   o.context = context;
+  o.cache = sub_cache;
   return o;
 }
 
 SubUniversalOptions EngineOptions::ToSubUniversalOptions(
-    const resilience::ExecutionContext* context) const {
+    const resilience::ExecutionContext* context,
+    SubsumptionCache* sub_cache) const {
   SubUniversalOptions o;
   o.cover.max_covers = budgets.max_covers;
   o.cover.max_nodes = budgets.max_cover_nodes;
   o.cover.context = context;
   o.filter_covers_by_subsumption = algorithms.subuniversal_sub_filter;
-  o.subsumption = ToSubsumptionOptions(context);
+  o.subsumption = ToSubsumptionOptions(context, sub_cache);
   return o;
 }
 
@@ -174,7 +187,7 @@ RepairOptions EngineOptions::ToRepairOptions(
 }
 
 Status Engine::Validate() const {
-  Result<MappingSchema> schema = sigma_.InferSchema();
+  Result<MappingSchema> schema = sigma().InferSchema();
   if (!schema.ok()) return schema.status();
   return schema->Validate();
 }
@@ -183,18 +196,18 @@ Result<InverseChaseResult> Engine::Recover(const Instance& target) const {
   Call call(*this);
   // Pass-through keeps the full Status — in particular the BudgetInfo
   // payload of ResourceExhausted trips (see EngineBudget* tests).
-  return internal::InverseChase(sigma_, target, call.Inverse());
+  return internal::InverseChase(sigma(), target, call.Inverse());
 }
 
 Result<bool> Engine::IsValid(const Instance& target) const {
   Call call(*this);
-  return internal::IsValidForRecovery(sigma_, target, call.Inverse());
+  return internal::IsValidForRecovery(sigma(), target, call.Inverse());
 }
 
 Result<AnswerSet> Engine::CertainAnswers(const UnionQuery& query,
                                          const Instance& target) const {
   Call call(*this);
-  return internal::CertainAnswers(query, sigma_, target, call.Inverse());
+  return internal::CertainAnswers(query, sigma(), target, call.Inverse());
 }
 
 Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
@@ -202,7 +215,7 @@ Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
     RecoveryCache* cache) const {
   Call call(*this);
   Result<AnswerSet> exact =
-      ExactCertainAnswers(query, sigma_, target, call.Inverse(), cache);
+      ExactCertainAnswers(query, sigma(), target, call.Inverse(), cache);
   resilience::Degraded<AnswerSet> out;
   if (exact.ok()) {
     out.value = std::move(*exact);
@@ -216,7 +229,7 @@ Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
   // Rung 2 — Thm. 7: answers over the source reverse-chased from the
   // maximal uniquely covered subset. Quadratic; runs without the tripped
   // context (it would trip again immediately).
-  out.value = internal::SoundUcqAnswers(query, sigma_, target);
+  out.value = internal::SoundUcqAnswers(query, sigma(), target);
   out.info.completeness = resilience::Completeness::kSoundUnderApprox;
   out.info.rung = "sound_ucq";
   out.info.cause = std::move(cause);
@@ -225,7 +238,8 @@ Result<resilience::Degraded<AnswerSet>> Engine::CertainAnswersDegraded(
   // answer of that disjunct, hence of Q, over every recovery). This rung
   // is budgeted on its own; a trip here just leaves the rung-2 answers.
   Result<SubUniversalResult> sub_universal = internal::ComputeCqSubUniversal(
-      sigma_, target, options_.ToSubUniversalOptions(nullptr));
+      sigma(), target,
+      options_.ToSubUniversalOptions(nullptr, mapping_->subsumption()));
   if (sub_universal.ok()) {
     size_t before = out.value.size();
     AnswerSet cq_answers = EvaluateNullFree(query, sub_universal->instance);
@@ -248,8 +262,8 @@ Result<resilience::Degraded<InverseChaseResult>> Engine::RecoverDegraded(
     }
   }
   Status interrupt;
-  out.value =
-      internal::InverseChasePartial(sigma_, target, call.Inverse(), &interrupt);
+  out.value = internal::InverseChasePartial(sigma(), target, call.Inverse(),
+                                           &interrupt);
   if (interrupt.ok()) {
     if (cache != nullptr) {
       out.value = *StoreRecoverySet(cache, std::move(out.value));
@@ -271,8 +285,7 @@ Result<TractabilityReport> Engine::Analyze(const Instance& target) const {
   Call call(*this);
   Status entry = call.CheckPoint("engine.analyze", "analyze");
   if (!entry.ok()) return entry;
-  return internal::AnalyzeTractability(
-      sigma_, target, options_.ToSubsumptionOptions(call.context()));
+  return internal::AnalyzeTractability(sigma(), target, call.Subsumption());
 }
 
 Result<Instance> Engine::CompleteUcqRecovery(const Instance& target) const {
@@ -280,22 +293,21 @@ Result<Instance> Engine::CompleteUcqRecovery(const Instance& target) const {
   Status entry =
       call.CheckPoint("engine.complete_ucq_recovery", "complete_ucq");
   if (!entry.ok()) return entry;
-  return internal::CompleteUcqRecovery(
-      sigma_, target, options_.ToSubsumptionOptions(call.context()));
+  return internal::CompleteUcqRecovery(sigma(), target, call.Subsumption());
 }
 
 AnswerSet Engine::SoundUcqAnswers(const UnionQuery& query,
                                   const Instance& target) const {
   Call call(*this);
-  return internal::SoundUcqAnswers(query, sigma_, target);
+  return internal::SoundUcqAnswers(query, sigma(), target);
 }
 
 Result<SubUniversalResult> Engine::SubUniversal(const Instance& target) const {
   Call call(*this);
   Status entry = call.CheckPoint("engine.sub_universal", "sub_universal");
   if (!entry.ok()) return entry;
-  return internal::ComputeCqSubUniversal(
-      sigma_, target, options_.ToSubUniversalOptions(call.context()));
+  return internal::ComputeCqSubUniversal(sigma(), target,
+                                         call.SubUniversal());
 }
 
 Result<AnswerSet> Engine::SoundCqAnswers(const ConjunctiveQuery& query,
@@ -303,30 +315,30 @@ Result<AnswerSet> Engine::SoundCqAnswers(const ConjunctiveQuery& query,
   Call call(*this);
   Status entry = call.CheckPoint("engine.sound_cq_answers", "sound_cq");
   if (!entry.ok()) return entry;
-  return internal::SoundCqAnswers(
-      query, sigma_, target, options_.ToSubUniversalOptions(call.context()));
+  return internal::SoundCqAnswers(query, sigma(), target,
+                                  call.SubUniversal());
 }
 
 Result<DependencySet> Engine::MaximumRecoveryMapping() const {
   Call call(*this);
   return internal::CqMaximumRecoveryMapping(
-      sigma_, options_.ToMaxRecoveryOptions(call.context()));
+      sigma(), options_.ToMaxRecoveryOptions(call.context()));
 }
 
 Result<Instance> Engine::BaselineRecoveredSource(const Instance& target) const {
   Call call(*this);
   return internal::MaxRecoveryChase(
-      sigma_, target, options_.ToMaxRecoveryOptions(call.context()));
+      sigma(), target, options_.ToMaxRecoveryOptions(call.context()));
 }
 
 Result<RepairResult> Engine::Repair(const Instance& target) const {
   Call call(*this);
-  return internal::RepairTarget(sigma_, target, call.Repair());
+  return internal::RepairTarget(sigma(), target, call.Repair());
 }
 
 Result<Instance> Engine::RepairGreedy(const Instance& target) const {
   Call call(*this);
-  return internal::GreedyRepair(sigma_, target, call.Repair());
+  return internal::GreedyRepair(sigma(), target, call.Repair());
 }
 
 }  // namespace dxrec

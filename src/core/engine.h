@@ -33,6 +33,7 @@
 #include "base/status.h"
 #include "chase/evaluation.h"
 #include "core/certain.h"
+#include "core/compiled_mapping.h"
 #include "core/cq_subuniversal.h"
 #include "core/inverse_chase.h"
 #include "core/max_recovery.h"
@@ -82,6 +83,10 @@ struct BudgetOptions {
   // Inverse-chase emission (core/inverse_chase.h).
   size_t max_recoveries = 1u << 20;
   size_t max_g_homs_per_cover = 1u << 14;
+  // Step 7's justification search per candidate over a target with
+  // nulls (core/recovery.h). Like the g-hom cap, a trip fails the exact
+  // calls and sends the degraded ones down the ladder.
+  size_t max_justification_assignments = 200000;
   // Cross-cover shared work pool for g-homomorphism search; 0 = off.
   // Scheduling-dependent under threads > 1 (docs/PARALLELISM.md).
   uint64_t max_cover_work = 0;
@@ -209,16 +214,18 @@ struct EngineOptions {
   // --- Lowering to the per-phase option structs ----------------------
   // The engine calls these internally; they are public so callers who
   // drive a phase directly (tests, benches, the CLI's explain path) get
-  // the same lowering. `context`/`pool` are threaded through un-owned
-  // and may be null.
+  // the same lowering. `context`/`pool`/`sub_cache` are threaded through
+  // un-owned and may be null.
   InverseChaseOptions ToInverseChaseOptions(
       const resilience::ExecutionContext* context = nullptr,
       util::ThreadPool* pool = nullptr,
       SubsumptionCache* sub_cache = nullptr) const;
   SubsumptionOptions ToSubsumptionOptions(
-      const resilience::ExecutionContext* context = nullptr) const;
+      const resilience::ExecutionContext* context = nullptr,
+      SubsumptionCache* sub_cache = nullptr) const;
   SubUniversalOptions ToSubUniversalOptions(
-      const resilience::ExecutionContext* context = nullptr) const;
+      const resilience::ExecutionContext* context = nullptr,
+      SubsumptionCache* sub_cache = nullptr) const;
   MaxRecoveryOptions ToMaxRecoveryOptions(
       const resilience::ExecutionContext* context = nullptr) const;
   RepairOptions ToRepairOptions(
@@ -242,10 +249,15 @@ using RecoveryCache = util::StoreOnce<InverseChaseResult>;
 
 class Engine {
  public:
+  // An engine over its own private compilation of `sigma`.
   explicit Engine(DependencySet sigma, EngineOptions options = EngineOptions())
-      : sigma_(std::move(sigma)),
-        options_(std::move(options)),
-        sub_cache_(std::make_unique<SubsumptionCache>()) {
+      : Engine(std::make_shared<const CompiledMapping>(std::move(sigma)),
+               std::move(options)) {}
+  // An engine borrowing `mapping`, shared with every other engine over
+  // it: SUB(Sigma) is computed at most once across all of them.
+  explicit Engine(std::shared_ptr<const CompiledMapping> mapping,
+                  EngineOptions options = EngineOptions())
+      : mapping_(std::move(mapping)), options_(std::move(options)) {
     obs::Apply(options_.obs);
     const size_t threads = options_.parallel.threads == 0
                                ? util::ThreadPool::HardwareThreads()
@@ -257,7 +269,10 @@ class Engine {
     }
   }
 
-  const DependencySet& sigma() const { return sigma_; }
+  const DependencySet& sigma() const { return mapping_->sigma(); }
+  const std::shared_ptr<const CompiledMapping>& mapping() const {
+    return mapping_;
+  }
   const EngineOptions& options() const { return options_; }
   // The engine's worker pool; null when parallel.threads == 1.
   util::ThreadPool* pool() const { return pool_.get(); }
@@ -322,14 +337,11 @@ class Engine {
   // The prologue each entry point runs (engine.cc).
   class Call;
 
-  DependencySet sigma_;
+  std::shared_ptr<const CompiledMapping> mapping_;
   EngineOptions options_;
   // Long-lived worker pool shared by all calls on this engine. Created
   // once so repeated calls don't pay thread spin-up.
   std::unique_ptr<util::ThreadPool> pool_;
-  // SUB(Sigma), computed by the first inverse chase that completes it.
-  // Behind a pointer so the engine stays movable.
-  std::unique_ptr<SubsumptionCache> sub_cache_;
 };
 
 }  // namespace dxrec

@@ -23,11 +23,12 @@ class AlternativeCollector {
   AlternativeCollector(const DependencySet& sigma,
                        const std::vector<Atom>& subset,
                        const ExtendedRecoveryOptions& options,
-                       obs::BudgetMeter* nodes)
+                       obs::BudgetMeter* nodes, VariableRenamer* renamer)
       : sigma_(sigma),
         subset_(subset),
         options_(options),
-        nodes_(nodes) {}
+        nodes_(nodes),
+        renamer_(renamer) {}
 
   Result<std::vector<std::vector<Atom>>> Collect() {
     Unifier unifier;
@@ -67,7 +68,7 @@ class AlternativeCollector {
       }
     }
     for (const Tgd& producer : sigma_.tgds()) {
-      Tgd renamed = producer.RenameApart();
+      Tgd renamed = producer.RenameApart(renamer_);
       for (const Atom& head : renamed.head()) {
         if (head.relation() != atom.relation() ||
             head.arity() != atom.arity()) {
@@ -128,6 +129,7 @@ class AlternativeCollector {
   const std::vector<Atom>& subset_;
   const ExtendedRecoveryOptions& options_;
   obs::BudgetMeter* nodes_;
+  VariableRenamer* renamer_;
   std::vector<std::vector<Atom>> alternatives_;
 };
 
@@ -191,6 +193,10 @@ Result<DisjunctiveMapping> ExtendedRecoveryMapping(
   std::set<std::string> seen_rules;
   obs::BudgetMeter nodes("extended_recovery.nodes", "extended_recovery",
                          options.max_nodes);
+  // Never rewound: the alternatives keep their copies' variables, and
+  // distinct rules must not share one (DisjunctiveMapping::Add would
+  // rename it apart by interning).
+  VariableRenamer renamer;
 
   for (TgdId id = 0; id < sigma.size(); ++id) {
     const Tgd& tgd = sigma.at(id);
@@ -203,7 +209,8 @@ Result<DisjunctiveMapping> ExtendedRecoveryMapping(
       for (size_t i = 0; i < n; ++i) {
         if ((mask >> i) & 1) subset.push_back(tgd.head()[i]);
       }
-      AlternativeCollector collector(sigma, subset, options, &nodes);
+      AlternativeCollector collector(sigma, subset, options, &nodes,
+                                     &renamer);
       Result<std::vector<std::vector<Atom>>> alternatives =
           collector.Collect();
       if (!alternatives.ok()) return alternatives.status();

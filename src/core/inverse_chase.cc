@@ -129,6 +129,12 @@ struct CoverOutcome {
   size_t num_candidates = 0;
   size_t num_rejected = 0;
   size_t num_unverified = 0;
+  // Why step 7 could not verify its first unverified candidate (in g
+  // order): a justification search that ran out of budget, or a trip
+  // inside it. Dropping such a candidate makes this cover's candidate
+  // set a lower bound, so exact mode fails with this status, as it does
+  // for a truncated g-hom enumeration.
+  Status unverified;
   std::vector<VerifiedCandidate> candidates;
   // Steps 4-7's phase wall times, always recorded: the merge sums them
   // into InverseChaseStats. The access-path attribution is empty unless
@@ -417,25 +423,29 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
   enum class Verdict : uint8_t { kPending, kRecovery, kRejected, kUnverified };
   std::vector<Verdict> verdicts(representatives.size(), Verdict::kPending);
   std::vector<Instance> recoveries(representatives.size());
+  // Why each unverified candidate could not be verified; only a target
+  // with nulls runs the justification search that can leave one.
+  std::vector<Status> unverified(target_ground ? 0 : representatives.size());
   for_slices(representatives.size(), [&](size_t r) {
     Instance& recovery = recoveries[r];
     recovery.AddAll(candidates[representatives[r]]);
-    bool is_recovery = IsMinimalSolution(sigma, recovery, target);
-    bool unverified = false;
-    if (!is_recovery && !target_ground) {
+    Verdict verdict = IsMinimalSolution(sigma, recovery, target)
+                          ? Verdict::kRecovery
+                          : Verdict::kRejected;
+    if (verdict == Verdict::kRejected && !target_ground) {
       JustificationOptions justification;
+      justification.max_assignments = options.max_justification_assignments;
       justification.context = options.context;
       Result<bool> justified =
           IsJustifiedSolution(sigma, recovery, target, justification);
-      if (justified.ok()) {
-        is_recovery = *justified;
-      } else {
-        unverified = true;
+      if (!justified.ok()) {
+        verdict = Verdict::kUnverified;
+        unverified[r] = justified.status();
+      } else if (*justified) {
+        verdict = Verdict::kRecovery;
       }
     }
-    verdicts[r] = is_recovery  ? Verdict::kRecovery
-                  : unverified ? Verdict::kUnverified
-                               : Verdict::kRejected;
+    verdicts[r] = verdict;
   });
 
   // Every candidate whose verdict is known counts, in g order.
@@ -446,7 +456,10 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
     outcome.num_candidates++;
     if (verdicts[r] != Verdict::kRecovery) {
       outcome.num_rejected++;
-      if (verdicts[r] == Verdict::kUnverified) outcome.num_unverified++;
+      if (verdicts[r] == Verdict::kUnverified) {
+        outcome.num_unverified++;
+        if (outcome.unverified.ok()) outcome.unverified = unverified[r];
+      }
       if (obs::EventsEnabled()) {
         obs::Emit("recovery.rejected",
                   {{"cover", static_cast<int64_t>(cover_index)},
@@ -551,30 +564,6 @@ std::string RecoveryExplanation::ToString(const DependencySet& sigma) const {
 
 namespace {
 
-using SubsumptionSet =
-    std::shared_ptr<const std::vector<SubsumptionConstraint>>;
-
-// Step 3's SUB(Sigma): options.sub_cache's set when one is stored, else
-// computed here and stored there.
-Result<SubsumptionSet> LoadSubsumption(const DependencySet& sigma,
-                                       const InverseChaseOptions& options) {
-  if (options.sub_cache != nullptr) {
-    if (SubsumptionSet stored = options.sub_cache->Get()) return stored;
-  }
-  SubsumptionOptions sub_options = options.subsumption;
-  if (sub_options.context == nullptr) sub_options.context = options.context;
-  Result<std::vector<SubsumptionConstraint>> computed =
-      ComputeSubsumption(sigma, sub_options);
-  if (!computed.ok()) return computed.status();
-  SubsumptionSet sub =
-      std::make_shared<const std::vector<SubsumptionConstraint>>(
-          std::move(*computed));
-  if (options.sub_cache != nullptr) {
-    sub = options.sub_cache->Put(std::move(sub));
-  }
-  return sub;
-}
-
 // The pipeline body shared by InverseChase (exact: partial output is
 // discarded on error) and InverseChasePartial (accumulated output kept,
 // the first trip reported through the return status). Interrupt handling
@@ -671,7 +660,8 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
   result.stats.seconds_cover_enum = phase_sw.ElapsedSeconds();
   phase_sw.Reset();
 
-  // 3. SUB(Sigma), from options.sub_cache when an earlier call stored it.
+  // 3. SUB(Sigma), from options.subsumption.cache when an earlier call
+  // stored it.
   obs::SetPhase("subsumption");
   SubsumptionSet sub_set;
   if (options.use_subsumption_filter) {
@@ -682,7 +672,9 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     }
     if (checkpoint.ok()) {
       obs::Span span("step3_subsumption");
-      Result<SubsumptionSet> computed = LoadSubsumption(sigma, options);
+      SubsumptionOptions sub_options = options.subsumption;
+      if (sub_options.context == nullptr) sub_options.context = options.context;
+      Result<SubsumptionSet> computed = LoadSubsumption(sigma, sub_options);
       if (computed.ok()) {
         sub_set = std::move(*computed);
         span.AddArg("constraints", static_cast<int64_t>(sub_set->size()));
@@ -761,23 +753,26 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
     break;
   }
 
-  // Then truncated g-hom enumerations, also first-in-cover-order: those
-  // covers' candidate sets are lower bounds, so exact mode fails instead
-  // of passing off a capped enumeration as exhaustive, and partial mode
-  // reports the budget through its interrupt. The structured error (and
-  // its budget.exhausted event) is built once, on this thread.
+  // Then truncated g-hom enumerations and unverified candidates, also
+  // first-in-cover-order: those covers' candidate sets are lower bounds,
+  // so exact mode fails instead of passing off a capped enumeration as
+  // exhaustive, and partial mode reports the budget through its
+  // interrupt. A truncation's structured error (and its budget.exhausted
+  // event) is built once, on this thread.
   Status truncation_status;
   for (const CoverOutcome& outcome : outcomes) {
-    if (outcome.truncation == GHomTruncation::kNone) continue;
-    result.stats.num_covers_truncated++;
-    if (truncation_status.ok()) {
-      truncation_status =
-          outcome.truncation == GHomTruncation::kSharedBudget
-              ? cover_work.Exhausted()
-              : obs::BudgetExhausted({"inverse_chase.g_homs",
-                                      options.max_g_homs_per_cover,
-                                      outcome.num_g_homs, "covers"});
+    if (outcome.truncation != GHomTruncation::kNone) {
+      result.stats.num_covers_truncated++;
+      if (truncation_status.ok()) {
+        truncation_status =
+            outcome.truncation == GHomTruncation::kSharedBudget
+                ? cover_work.Exhausted()
+                : obs::BudgetExhausted({"inverse_chase.g_homs",
+                                        options.max_g_homs_per_cover,
+                                        outcome.num_g_homs, "covers"});
+      }
     }
+    if (truncation_status.ok()) truncation_status = outcome.unverified;
   }
   if (!truncation_status.ok()) {
     if (!keep_partial) return fail(std::move(truncation_status));

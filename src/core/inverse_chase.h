@@ -41,6 +41,8 @@ class ThreadPool;
 
 struct InverseChaseOptions {
   CoverOptions cover;
+  // Step 3's budgets; `subsumption.cache`, when set, is the SUB(Sigma)
+  // store step 3 reads and fills (dxrec::Engine passes its mapping's).
   SubsumptionOptions subsumption;
   // Skip coverings violating SUB(Sigma) before the (more expensive)
   // forward-chase check. Purely an optimization: step 6's g-homomorphism
@@ -52,6 +54,12 @@ struct InverseChaseOptions {
   // Budgets.
   size_t max_recoveries = 1u << 20;
   size_t max_g_homs_per_cover = 1u << 14;
+  // Step 7's justification search for a candidate over a target with
+  // nulls (JustificationOptions::max_assignments, core/recovery.h). A
+  // candidate whose search runs out is counted unverified and dropped;
+  // like a capped g-hom enumeration, that fails an exact run with the
+  // search's ResourceExhausted ("justification.assignments").
+  size_t max_justification_assignments = 200000;
   // Cross-cover cap on g-homomorphism search work (candidate tuples
   // tried, drawn from one shared atomic pool in 2^16 batches). 0 =
   // unlimited. Unlike the per-cover caps above, which cover runs dry is
@@ -87,11 +95,6 @@ struct InverseChaseOptions {
   // threaded into every budgeted sub-search and checked at the pipeline's
   // phase and per-cover boundaries. Not owned; must outlive the call.
   const resilience::ExecutionContext* context = nullptr;
-  // Optional SUB(Sigma) store shared across calls over this Sigma with
-  // these subsumption budgets: step 3 reads it, and stores the set it
-  // computed when the computation completed. dxrec::Engine passes its
-  // own. Not owned.
-  SubsumptionCache* sub_cache = nullptr;
 };
 
 // Provenance of one recovered source atom.

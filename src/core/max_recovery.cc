@@ -23,11 +23,12 @@ class ScenarioChecker {
   ScenarioChecker(const DependencySet& sigma,
                   const std::vector<Atom>& subset,
                   const std::vector<Atom>& conclusion_body,
-                  obs::BudgetMeter* nodes)
+                  obs::BudgetMeter* nodes, VariableRenamer* renamer)
       : sigma_(sigma),
         subset_(subset),
         conclusion_body_(conclusion_body),
-        nodes_(nodes) {}
+        nodes_(nodes),
+        renamer_(renamer) {}
 
   // Returns true if the candidate is sound (no violating scenario), false
   // if some scenario fails; ResourceExhausted on budget.
@@ -67,9 +68,11 @@ class ScenarioChecker {
         if (!status.ok()) return status;
       }
     }
-    // Open a new producing copy of any tgd.
+    // Open a new producing copy of any tgd. A scenario reads only the
+    // copies on the stack, so a dropped copy's ids are free again.
     for (TgdId t = 0; t < sigma_.size(); ++t) {
-      Tgd renamed = sigma_.at(t).RenameApart();
+      const uint32_t mark = renamer_->mark();
+      Tgd renamed = sigma_.at(t).RenameApart(renamer_);
       for (const Atom& b : renamed.head()) {
         if (b.relation() != atom.relation() || b.arity() != atom.arity()) {
           continue;
@@ -95,6 +98,7 @@ class ScenarioChecker {
         copies.pop_back();
         if (!status.ok()) return status;
       }
+      renamer_->Rewind(mark);
     }
     return Status::Ok();
   }
@@ -155,6 +159,7 @@ class ScenarioChecker {
   const std::vector<Atom>& subset_;
   const std::vector<Atom>& conclusion_body_;
   obs::BudgetMeter* nodes_;
+  VariableRenamer* renamer_;
   bool violated_ = false;
 };
 
@@ -168,6 +173,7 @@ Result<DependencySet> CqMaximumRecoveryMapping(
   std::set<std::string> seen;
   obs::BudgetMeter nodes("max_recovery.nodes", "max_recovery",
                          options.max_nodes, options.context);
+  VariableRenamer renamer;
 
   for (TgdId id = 0; id < sigma.size(); ++id) {
     const Tgd& tgd = sigma.at(id);
@@ -186,7 +192,7 @@ Result<DependencySet> CqMaximumRecoveryMapping(
       for (size_t i = 0; i < n; ++i) {
         if ((mask >> i) & 1) subset.push_back(head[i]);
       }
-      ScenarioChecker checker(sigma, subset, tgd.body(), &nodes);
+      ScenarioChecker checker(sigma, subset, tgd.body(), &nodes, &renamer);
       Result<bool> sound = checker.Check();
       if (!sound.ok()) return sound.status();
       if (!*sound) continue;

@@ -8,6 +8,8 @@
 #include "base/fresh.h"
 #include "logic/unification.h"
 #include "obs/events.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace dxrec {
 
@@ -110,14 +112,16 @@ class Generator {
   Generator(const DependencySet& sigma, TgdId xi0,
             const SubsumptionOptions& options,
             std::vector<SubsumptionConstraint>* out,
-            std::set<std::string>* seen, obs::BudgetMeter* nodes)
+            std::set<std::string>* seen, obs::BudgetMeter* nodes,
+            VariableRenamer* renamer)
       : sigma_(sigma),
         xi0_id_(xi0),
         xi0_(sigma.at(xi0)),
         options_(options),
         out_(out),
         seen_(seen),
-        nodes_(nodes) {
+        nodes_(nodes),
+        renamer_(renamer) {
     max_premises_ = options.max_premises == 0 ? xi0_.body().size()
                                               : options.max_premises;
   }
@@ -163,8 +167,7 @@ class Generator {
     // Option B: open a new copy of any tgd.
     if (copies.size() < max_premises_) {
       for (TgdId t = 0; t < sigma_.size(); ++t) {
-        // Rename apart only a tgd that can host `atom`: each copy interns
-        // fresh variables for good.
+        // Rename apart only a tgd that can host `atom`.
         const std::vector<Atom>& body = sigma_.at(t).body();
         if (std::none_of(body.begin(), body.end(), [&atom](const Atom& b) {
               return b.relation() == atom.relation() &&
@@ -172,7 +175,10 @@ class Generator {
             })) {
           continue;
         }
-        Tgd renamed = sigma_.at(t).RenameApart();
+        // The copy lives until the loop below ends; emitted constraints
+        // keep only their own images, so its ids are free again then.
+        const uint32_t mark = renamer_->mark();
+        Tgd renamed = sigma_.at(t).RenameApart(renamer_);
         // Try each body atom of the new copy as the host for `atom`.
         for (const Atom& b : renamed.body()) {
           if (b.relation() != atom.relation() || b.arity() != atom.arity()) {
@@ -194,6 +200,7 @@ class Generator {
           copies.pop_back();
           if (!status.ok()) return status;
         }
+        renamer_->Rewind(mark);
       }
     }
     return Status::Ok();
@@ -241,6 +248,7 @@ class Generator {
   std::vector<SubsumptionConstraint>* out_;
   std::set<std::string>* seen_;
   obs::BudgetMeter* nodes_;
+  VariableRenamer* renamer_;
 };
 
 }  // namespace
@@ -256,12 +264,35 @@ Result<std::vector<SubsumptionConstraint>> ComputeSubsumption(
   std::set<std::string> seen;
   obs::BudgetMeter nodes("subsumption.nodes", "subsumption",
                          options.max_nodes, options.context);
+  VariableRenamer renamer;
+  if (obs::Enabled()) {
+    static obs::Counter* runs =
+        obs::MetricsRegistry::Global().GetCounter("subsumption.runs");
+    runs->Add(1);
+  }
   for (TgdId xi0 = 0; xi0 < sigma.size(); ++xi0) {
-    Generator gen(sigma, xi0, options, &out, &seen, &nodes);
+    Generator gen(sigma, xi0, options, &out, &seen, &nodes, &renamer);
     Status status = gen.Run();
     if (!status.ok()) return status;
   }
   return out;
+}
+
+Result<SubsumptionSet> LoadSubsumption(const DependencySet& sigma,
+                                       const SubsumptionOptions& options) {
+  SubsumptionCache* cache =
+      options.max_premises == 0 ? options.cache : nullptr;
+  if (cache != nullptr) {
+    if (SubsumptionSet stored = cache->Get()) return stored;
+  }
+  Result<std::vector<SubsumptionConstraint>> computed =
+      ComputeSubsumption(sigma, options);
+  if (!computed.ok()) return computed.status();
+  SubsumptionSet sub =
+      std::make_shared<const std::vector<SubsumptionConstraint>>(
+          std::move(*computed));
+  if (cache != nullptr) sub = cache->Put(std::move(sub));
+  return sub;
 }
 
 namespace {

@@ -13,9 +13,11 @@
 // "constraint variables". An image variable that appears in some premise
 // is *pinned* by a premise match; unpinned images correspond to the
 // body-only ("frozen") variables of Def. 6, whose values the extension m'
-// of Def. 8 chooses existentially.
+// of Def. 8 chooses existentially. Constraint variables are uninterned
+// renamed variables (base/fresh.h) and mean something only within their
+// own constraint: two constraints may reuse the same ids.
 //
-// Generation works over fresh-variable copies of tgds (Example 8's
+// Generation works over renamed-apart copies of tgds (Example 8's
 // constraint needs two copies of the same tgd), at most one copy per body
 // atom of xi_0, unified with the frozen-class discipline of
 // logic/unification.h. Every generated constraint is *sound* (it reflects
@@ -25,6 +27,7 @@
 #ifndef DXREC_CORE_SUBSUMPTION_H_
 #define DXREC_CORE_SUBSUMPTION_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,6 +62,17 @@ struct SubsumptionConstraint {
   std::string ToString(const DependencySet& sigma) const;
 };
 
+// SUB(Sigma) for one Sigma, computed by the first consumer that completes
+// it and read by every later one (step 3 of the inverse chase, the
+// Lemma 1 check of core/tractable and the Sec. 6.2 cover filter of
+// core/cq_subuniversal). SUB depends on Sigma alone, so a
+// CompiledMapping (core/compiled_mapping.h) owns one. Only a completed
+// computation is stored: a budget, deadline or fault trip depends on the
+// call and surfaces as usual.
+using SubsumptionCache = util::StoreOnce<std::vector<SubsumptionConstraint>>;
+using SubsumptionSet =
+    std::shared_ptr<const std::vector<SubsumptionConstraint>>;
+
 struct SubsumptionOptions {
   // Cap on premises per constraint; 0 means "body atom count of the
   // subsumed tgd" (the natural bound: each premise must contribute).
@@ -69,21 +83,21 @@ struct SubsumptionOptions {
   // Optional deadline/cancellation, checked at budget tick cadence. Not
   // owned; must outlive the call.
   const resilience::ExecutionContext* context = nullptr;
+  // Optional store of Sigma's SUB, read and filled by LoadSubsumption.
+  // Only uncapped computations (max_premises == 0) use it. Not owned.
+  SubsumptionCache* cache = nullptr;
 };
 
 // SUB(Sigma): all derivable non-tautological constraints, deduplicated.
+// Computes afresh; `options.cache` is not consulted.
 Result<std::vector<SubsumptionConstraint>> ComputeSubsumption(
     const DependencySet& sigma,
     const SubsumptionOptions& options = SubsumptionOptions());
 
-// SUB(Sigma) for one Sigma, computed by the first inverse chase that
-// completes it and read by every later one. SUB depends on Sigma and the
-// subsumption budgets alone, so dxrec::Engine owns one per instance; each
-// uncached computation also interns fresh variables for its renamed tgd
-// copies, which a long-lived engine would otherwise accumulate. Only a
-// completed computation is stored: a budget, deadline or fault trip
-// depends on the call and surfaces as usual.
-using SubsumptionCache = util::StoreOnce<std::vector<SubsumptionConstraint>>;
+// SUB(Sigma) through `options.cache`: the stored set when there is one,
+// else computed, and stored when the computation completed.
+Result<SubsumptionSet> LoadSubsumption(const DependencySet& sigma,
+                                       const SubsumptionOptions& options);
 
 // H |= constraint (Def. 8): for every way of matching the premises with
 // homs from H, some hom in H matches the conclusion (pinned positions

@@ -37,11 +37,10 @@ Result<TractabilityReport> AnalyzeTractability(
   report.all_coverable = problem.AllTuplesCoverable();
   report.unique_cover = UniqueCoverCriterion(problem);
 
-  Result<std::vector<SubsumptionConstraint>> sub =
-      ComputeSubsumption(sigma, options);
+  Result<SubsumptionSet> sub = LoadSubsumption(sigma, options);
   if (!sub.ok()) return sub.status();
   report.quasi_guarded_safe = true;
-  for (const SubsumptionConstraint& c : *sub) {
+  for (const SubsumptionConstraint& c : **sub) {
     if (!sigma.at(c.conclusion).IsQuasiGuarded()) {
       report.quasi_guarded_safe = false;
       break;

@@ -5,10 +5,12 @@
 namespace dxrec {
 
 TgdId DependencySet::Add(Tgd tgd) {
-  // Rename any variable already used by an earlier tgd.
+  // Rename any variable already used by an earlier tgd, and any renamed
+  // (uninterned) one: a renamer's copies of Sigma's tgds must not collide
+  // with Sigma's own variables.
   Substitution renaming;
   for (Term v : tgd.all_vars()) {
-    if (used_vars_.count(v) > 0) {
+    if (used_vars_.count(v) > 0 || v.id() >= Term::kFirstRenamedVariableId) {
       renaming.Set(v, FreshVariable(v.ToString()));
     }
   }

@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "base/fresh.h"
-
 namespace dxrec {
 
 namespace {
@@ -100,13 +98,11 @@ Tgd Tgd::Apply(const Substitution& renaming) const {
   return out;
 }
 
-Tgd Tgd::RenameApart(Substitution* out_renaming) const {
-  Substitution renaming;
-  for (Term v : all_vars_) {
-    renaming.Set(v, FreshVariable(v.ToString()));
-  }
-  if (out_renaming != nullptr) *out_renaming = renaming;
-  return Apply(renaming);
+Tgd Tgd::RenameApart(VariableRenamer* renamer) const {
+  std::vector<Substitution::Binding> renaming;
+  renaming.reserve(all_vars_.size());
+  for (Term v : all_vars_) renaming.emplace_back(v, renamer->Fresh());
+  return Apply(Substitution::FromDistinct(std::move(renaming)));
 }
 
 Instance Tgd::BodyInstance() const {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fresh.h"
 #include "base/status.h"
 #include "base/substitution.h"
 #include "base/term.h"
@@ -59,9 +60,9 @@ class Tgd {
   // (unmapped variables kept).
   Tgd Apply(const Substitution& renaming) const;
 
-  // A copy whose variables are renamed to fresh ones; `out_renaming`
-  // (optional) receives the old->new map.
-  Tgd RenameApart(Substitution* out_renaming = nullptr) const;
+  // A copy whose variables are renamed to fresh ones from `renamer`
+  // (base/fresh.h).
+  Tgd RenameApart(VariableRenamer* renamer) const;
 
   // The body/head atoms as an Instance (variables preserved).
   Instance BodyInstance() const;

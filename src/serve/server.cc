@@ -281,13 +281,14 @@ void Server::Execute(const Pending& pending) {
                         WireErrorFromStatus(status, /*parse_context=*/true)));
       return;
     }
-    inline_session->sigma = std::move(*sigma);
+    inline_session->mapping =
+        std::make_shared<const CompiledMapping>(std::move(*sigma));
     inline_session->target = std::move(*target);
     session = std::move(inline_session);
   }
 
   EngineOptions opts = RequestEngineOptions(request, pending.verdict);
-  Engine engine(session->sigma, opts);
+  Engine engine(session->mapping, opts);
 
   JsonObject fields;
   Status failure;
@@ -394,7 +395,7 @@ std::string Server::HandleOpenSession(const Request& request) {
   JsonObject fields;
   fields["session"] = JsonValue((*session)->name);
   fields["sigma_tgds"] =
-      JsonValue(static_cast<int64_t>((*session)->sigma.size()));
+      JsonValue(static_cast<int64_t>((*session)->mapping->sigma().size()));
   fields["target_atoms"] =
       JsonValue(static_cast<int64_t>((*session)->target.size()));
   return OkResponse(request.id, std::move(fields));

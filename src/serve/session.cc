@@ -36,7 +36,7 @@ Result<std::shared_ptr<const Session>> SessionRegistry::Open(
 
   auto session = std::make_shared<Session>();
   session->name = name;
-  session->sigma = std::move(*sigma);
+  session->mapping = std::make_shared<const CompiledMapping>(std::move(*sigma));
   session->target = std::move(*target);
   // Build the columnar snapshot before any concurrent reader can probe
   // it; from here the session is immutable.

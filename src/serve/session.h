@@ -2,16 +2,20 @@
 //
 // A session is the server-side cache of a client's recovery setting: the
 // tgd set Sigma and the target instance J, parsed once at open and
-// reused by every subsequent request that names the session. Opening
-// also pre-warms J's columnar snapshot (Instance::WarmColumnar), so the
-// concurrent readers that follow never race the lazy build.
+// reused by every subsequent request that names the session. Sigma is
+// held compiled (core/compiled_mapping.h): every request's Engine borrows
+// it, so SUB(Sigma) is computed by the session's first request that needs
+// it and never again. Opening also pre-warms J's columnar snapshot
+// (Instance::WarmColumnar), so the concurrent readers that follow never
+// race the lazy build.
 //
 // Sessions are immutable after open and handed out as
 // shared_ptr<const Session>: a close only drops the registry's
 // reference, in-flight requests keep theirs, so "close_session racing a
 // request on the same session" is safe by construction. The one mutable
-// member is the session-resident recovery set Chase^{-1}(Sigma, J),
-// built by the first request that needs it and freed with the session.
+// members are the session-resident recovery set Chase^{-1}(Sigma, J) and
+// the compiled mapping's SUB(Sigma), each built by the first request that
+// needs it and freed with the session.
 #ifndef DXREC_SERVE_SESSION_H_
 #define DXREC_SERVE_SESSION_H_
 
@@ -22,8 +26,8 @@
 #include <vector>
 
 #include "base/status.h"
+#include "core/compiled_mapping.h"
 #include "core/engine.h"
-#include "logic/dependency_set.h"
 #include "relational/instance.h"
 
 namespace dxrec {
@@ -31,7 +35,7 @@ namespace serve {
 
 struct Session {
   std::string name;
-  DependencySet sigma;
+  std::shared_ptr<const CompiledMapping> mapping;
   Instance target;
   // Lazily built on the first certain/recover request (core/engine.h).
   mutable RecoveryCache recovery_set;

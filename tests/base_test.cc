@@ -159,6 +159,44 @@ TEST(Fresh, FreshVariablesAreDistinct) {
   EXPECT_TRUE(a.is_variable());
 }
 
+TEST(VariableRenamer, HandsOutUninternedVariablesPrintedAsDollarR) {
+  const size_t interned = Symbols().variables.size();
+  VariableRenamer renamer;
+  Term r0 = renamer.Fresh();
+  Term r1 = renamer.Fresh();
+  EXPECT_EQ(Symbols().variables.size(), interned);
+  EXPECT_TRUE(r0.is_variable());
+  EXPECT_TRUE(r0.is_valid());
+  EXPECT_EQ(r0.id(), Term::kFirstRenamedVariableId);
+  EXPECT_NE(r0, r1);
+  EXPECT_NE(r0, Term::Variable("$r0"));
+  EXPECT_EQ(r0.ToString(), "$r0");
+  EXPECT_EQ(r1.ToString(), "$r1");
+  // Rewinding to a mark hands the released suffix out again.
+  const uint32_t mark = renamer.mark();
+  EXPECT_EQ(mark, 2u);
+  EXPECT_EQ(renamer.Fresh().ToString(), "$r2");
+  renamer.Rewind(mark);
+  EXPECT_EQ(renamer.Fresh().ToString(), "$r2");
+  // Another renamer numbers its own copies from $r0.
+  VariableRenamer other;
+  EXPECT_EQ(other.Fresh(), r0);
+}
+
+TEST(SymbolTable, VariablesStopBelowTheRenamedRange) {
+  EXPECT_LT(Term::Variable("stop_below").id(),
+            Term::kFirstRenamedVariableId);
+}
+
+TEST(SymbolTableDeathTest, InternRefusesToReachTheLimit) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SymbolTable table(2);
+  table.Intern("a");
+  table.Intern("b");
+  EXPECT_EQ(table.Intern("a"), 0u);  // a hit at the limit is fine
+  EXPECT_DEATH(table.Intern("c"), "symbol table exhausted");
+}
+
 TEST(Substitution, ApplyDefaultsToIdentity) {
   Substitution s;
   Term x = Term::Variable("x");

@@ -10,9 +10,12 @@
 #include "chase/homomorphism.h"
 #include "core/engine.h"
 #include "core/hom_set.h"
+#include "core/recovery.h"
 #include "datagen/generators.h"
 #include "datagen/scenarios.h"
 #include "logic/parser.h"
+#include "obs/events.h"
+#include "obs/metrics.h"
 #include "resilience/fault_injection.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -273,21 +276,76 @@ TEST(EngineRecoveryCache, FirstPutWins) {
   EXPECT_EQ(cache.Get(), first);
 }
 
-// SUB(Sigma) is computed once per Engine: each uncached computation
-// interns fresh variables for its renamed tgd copies, so a long-lived
-// engine must stop growing the variable table after its first call.
+// SUB(Sigma) computations so far, counted while obs is on.
+uint64_t SubsumptionRuns() {
+  return obs::MetricsRegistry::Global().GetCounter("subsumption.runs")->Get();
+}
+
+EngineOptions CountingOptions() {
+  obs::ObsOptions counting;
+  counting.enabled = true;
+  return EngineOptions().WithObs(counting);
+}
+
+// Renamed tgd copies are not interned: a long-lived engine's variable
+// table stays flat from its first call on.
 TEST(EngineSubsumptionCache, LongLivedEngineInternsNoVariables) {
   Engine engine(TriangleScenario::Sigma());
   Instance j = TriangleScenario::Target(1, 2);
   UnionQuery q = U("Q(x) :- Rt(x, x, y)");
-  ASSERT_TRUE(engine.Recover(j).ok());
-  ASSERT_TRUE(engine.CertainAnswers(q, j).ok());
   const size_t variables = Symbols().variables.size();
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(engine.Recover(j).ok());
     ASSERT_TRUE(engine.CertainAnswers(q, j).ok());
   }
   EXPECT_EQ(Symbols().variables.size(), variables);
+}
+
+// A request-scoped Engine per call, as dxrecd builds one per request:
+// over one CompiledMapping no call interns a variable.
+TEST(EngineSubsumptionCache, FreshEnginesOverOneMappingInternNoVariables) {
+  auto mapping =
+      std::make_shared<const CompiledMapping>(TriangleScenario::Sigma());
+  Instance j = TriangleScenario::Target(1, 1);
+  UnionQuery q = U("Q(x) :- Rt(x, x, y)");
+  const size_t variables = Symbols().variables.size();
+  for (int i = 0; i < 10000; ++i) {
+    Engine engine(mapping);
+    ASSERT_TRUE(engine.CertainAnswers(q, j).ok());
+  }
+  EXPECT_EQ(Symbols().variables.size(), variables);
+  ASSERT_NE(mapping->subsumption()->Get(), nullptr);
+  EXPECT_FALSE(mapping->subsumption()->Get()->empty());
+}
+
+// All three SUB(Sigma) consumers read the one store: the Lemma 1 check
+// (Analyze), step 3 (Recover) and the Sec. 6.2 cover filter
+// (SubUniversal).
+TEST(EngineSubsumptionCache, AnalyzeRecoverSubUniversalComputeSubOnce) {
+  EngineOptions options = CountingOptions();
+  options.algorithms.subuniversal_sub_filter = true;
+  Engine engine(TriangleScenario::Sigma(), options);
+  Instance j = TriangleScenario::Target(1, 2);
+  const uint64_t before = SubsumptionRuns();
+  ASSERT_TRUE(engine.Analyze(j).ok());
+  EXPECT_EQ(SubsumptionRuns(), before + 1);
+  ASSERT_TRUE(engine.Recover(j).ok());
+  ASSERT_TRUE(engine.SubUniversal(j).ok());
+  EXPECT_NE(engine.CompleteUcqRecovery(j).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(SubsumptionRuns(), before + 1);
+
+  // A second engine over the same mapping reads it too.
+  Engine second(engine.mapping(), options);
+  ASSERT_TRUE(second.Analyze(j).ok());
+  EXPECT_EQ(SubsumptionRuns(), before + 1);
+
+  // A premise-capped SUB is a different set: computed, never stored.
+  EngineOptions capped = options;
+  capped.budgets.max_sub_premises = 1;
+  Engine third(engine.mapping(), capped);
+  ASSERT_TRUE(third.Analyze(j).ok());
+  EXPECT_EQ(SubsumptionRuns(), before + 2);
 }
 
 // A tripped SUB(Sigma) computation stores nothing: the trip surfaces as
@@ -298,7 +356,8 @@ TEST(EngineSubsumptionCache, TrippedComputationStoresNothing) {
   for (testing::FaultKind kind : {testing::FaultKind::kBudgetExhaustion,
                                   testing::FaultKind::kDeadline}) {
     SCOPED_TRACE(testing::FaultKindName(kind));
-    Engine engine(TriangleScenario::Sigma(), EngineOptions().WithDegrade(true));
+    Engine engine(TriangleScenario::Sigma(),
+                  CountingOptions().WithDegrade(true));
     testing::FaultPlan plan;
     plan.site = "subsumption.nodes";
     plan.kind = kind;
@@ -316,33 +375,92 @@ TEST(EngineSubsumptionCache, TrippedComputationStoresNothing) {
     testing::FaultInjector::Global().Reset();
     ASSERT_TRUE(partial.ok()) << partial.status().ToString();
     EXPECT_FALSE(partial->exact());
+    EXPECT_EQ(engine.mapping()->subsumption()->Get(), nullptr);
 
-    size_t variables = Symbols().variables.size();
+    uint64_t runs = SubsumptionRuns();
     Result<InverseChaseResult> computed = engine.Recover(j);
     ASSERT_TRUE(computed.ok()) << computed.status().ToString();
-    EXPECT_GT(Symbols().variables.size(), variables) << "SUB(Sigma) built";
-    variables = Symbols().variables.size();
+    EXPECT_EQ(SubsumptionRuns(), runs + 1) << "SUB(Sigma) built";
+    runs = SubsumptionRuns();
     Result<InverseChaseResult> cached = engine.Recover(j);
     ASSERT_TRUE(cached.ok());
-    EXPECT_EQ(Symbols().variables.size(), variables) << "SUB(Sigma) stored";
+    EXPECT_EQ(SubsumptionRuns(), runs) << "SUB(Sigma) stored";
     EXPECT_EQ(cached->recoveries.size(), computed->recoveries.size());
     EXPECT_EQ(cached->stats.num_covers_passing_sub,
               computed->stats.num_covers_passing_sub);
   }
 }
 
-// The SUB(Sigma) cache does not pin an engine in place.
+// The shared mapping does not pin an engine in place.
 TEST(EngineSubsumptionCache, EngineStaysMovable) {
   Engine first(TriangleScenario::Sigma());
   Instance j = TriangleScenario::Target(1, 2);
   Result<InverseChaseResult> before = first.Recover(j);
   ASSERT_TRUE(before.ok());
-  const size_t variables = Symbols().variables.size();
+  const std::shared_ptr<const CompiledMapping> mapping = first.mapping();
   Engine moved(std::move(first));
+  EXPECT_EQ(moved.mapping(), mapping);
   Result<InverseChaseResult> after = moved.Recover(j);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->recoveries.size(), before->recoveries.size());
-  EXPECT_EQ(Symbols().variables.size(), variables);
+}
+
+// Step 7's justification search (targets with nulls) runs under
+// budgets.max_justification_assignments. A search that runs out leaves
+// its candidate unverified, so the exact entry points fail with the
+// search's structured ResourceExhausted instead of answering from the
+// candidates that were verified, and the degradation ladder takes over.
+TEST(EngineBudgets, JustificationAssignmentsFailExactCalls) {
+  Result<DependencySet> sigma =
+      ParseTgdSet("R(x, y) -> exists z: T(x, z); R(u, u) -> T(u, u)");
+  ASSERT_TRUE(sigma.ok()) << sigma.status().ToString();
+  const Instance j = I("{T(a, _X), T(a, a)}");
+  const UnionQuery q = U("Q(x) :- R(x, y)");
+  EXPECT_EQ(
+      EngineOptions().ToInverseChaseOptions().max_justification_assignments,
+      200000u);
+
+  Engine roomy(*sigma);
+  Result<InverseChaseResult> all = roomy.Recover(j);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->recoveries.size(), 3u);
+  EXPECT_EQ(all->stats.num_candidates_unverified, 0u);
+  Result<AnswerSet> answers = roomy.CertainAnswers(q, j);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 1u);
+
+  EngineOptions options = CountingOptions().WithDegrade(true);
+  options.budgets.max_justification_assignments = 1;
+  ASSERT_EQ(options.ToInverseChaseOptions().max_justification_assignments,
+            1u);
+  Engine tight(std::move(*sigma), options);
+  auto expect_tripped = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << status.ToString();
+    ASSERT_NE(status.budget_info(), nullptr) << status.ToString();
+    EXPECT_EQ(status.budget_info()->budget, "justification.assignments");
+    EXPECT_EQ(status.budget_info()->limit, 1u);
+  };
+  Result<InverseChaseResult> recovered = tight.Recover(j);
+  ASSERT_FALSE(recovered.ok());
+  expect_tripped(recovered.status());
+  Result<bool> valid = tight.IsValid(j);
+  ASSERT_FALSE(valid.ok());
+  expect_tripped(valid.status());
+  Result<AnswerSet> certain = tight.CertainAnswers(q, j);
+  ASSERT_FALSE(certain.ok());
+  expect_tripped(certain.status());
+
+  auto partial = tight.RecoverDegraded(j);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(partial->info.completeness, resilience::Completeness::kPartial);
+  EXPECT_GT(partial->value.stats.num_candidates_unverified, 0u);
+  expect_tripped(partial->info.cause);
+  auto sound = tight.CertainAnswersDegraded(q, j);
+  ASSERT_TRUE(sound.ok()) << sound.status().ToString();
+  EXPECT_EQ(sound->info.completeness,
+            resilience::Completeness::kSoundUnderApprox);
+  expect_tripped(sound->info.cause);
 }
 
 TEST(Datagen, RandomMappingIsWellFormed) {

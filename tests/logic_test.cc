@@ -2,6 +2,7 @@
 // and the frozen-class unifier.
 #include <gtest/gtest.h>
 
+#include "base/symbol_table.h"
 #include "logic/dependency_set.h"
 #include "logic/parser.h"
 #include "logic/query.h"
@@ -61,13 +62,30 @@ TEST(Tgd, RejectsNulls) {
 
 TEST(Tgd, RenameApartPreservesStructure) {
   Tgd tgd = T("Rf(x, x, y) -> exists z: Sf(x, z)");
-  Substitution renaming;
-  Tgd renamed = tgd.RenameApart(&renaming);
+  VariableRenamer renamer;
+  const size_t interned = Symbols().variables.size();
+  Tgd renamed = tgd.RenameApart(&renamer);
+  EXPECT_EQ(Symbols().variables.size(), interned);
   EXPECT_EQ(renamed.body().size(), 1u);
   EXPECT_EQ(renamed.frontier_vars().size(), 1u);
   // Repeated variable positions stay repeated.
   EXPECT_EQ(renamed.body()[0].arg(0), renamed.body()[0].arg(1));
   EXPECT_NE(renamed.frontier_vars()[0], tgd.frontier_vars()[0]);
+  // x, y, z in all_vars() order.
+  EXPECT_EQ(renamed.ToString(),
+            "Rf($r0, $r0, $r1) -> exists $r2: Sf($r0, $r2)");
+}
+
+TEST(DependencySet, RenamesRenamedVariablesApart) {
+  // A renamed copy added to a Sigma gets interned names: renamers number
+  // their copies from $r0 and must not meet Sigma's own variables.
+  VariableRenamer renamer;
+  Tgd copy = T("Rk(x) -> Sk(x)").RenameApart(&renamer);
+  DependencySet sigma;
+  sigma.Add(copy);
+  Term v = sigma.at(0).frontier_vars()[0];
+  EXPECT_LT(v.id(), Term::kFirstRenamedVariableId);
+  EXPECT_NE(v, copy.frontier_vars()[0]);
 }
 
 TEST(DependencySet, RenamesCollidingVariables) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,7 +14,10 @@
 #include <utility>
 #include <vector>
 
+#include "base/symbol_table.h"
 #include "core/engine.h"
+#include "datagen/generators.h"
+#include "datagen/random.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
 #include "serve/protocol.h"
@@ -352,6 +356,149 @@ TEST(ServeStress, DrainUnderLoadAnswersEveryAcceptedRequest) {
   // began are "draining" errors, which still count as answers.)
   EXPECT_GE(responses.load(), 20u);
   server.reset();
+}
+
+// One churn shape: texts carrying kTemplateTag in every relation,
+// constant and variable name, and how many variables those texts name.
+struct ChurnTemplate {
+  std::string sigma;
+  std::string target;
+  std::vector<std::string> queries;
+  size_t variables = 0;
+};
+
+constexpr const char* kTemplateTag = "ctpl_";
+
+std::string ReplaceTag(std::string text, const std::string& tag) {
+  const std::string from = kTemplateTag;
+  for (size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + tag.size())) {
+    text.replace(at, from.size(), tag);
+  }
+  return text;
+}
+
+// Random mappings of the columnar_diff_test spec with ground targets of
+// at most 8 atoms, keeping only shapes a threads=1 engine recovers under
+// small budgets, so no cycle sets the pace.
+std::vector<ChurnTemplate> ChurnTemplates(size_t count) {
+  std::vector<ChurnTemplate> out;
+  for (uint64_t seed = 1; out.size() < count && seed < 64 * count; ++seed) {
+    Rng rng(seed);
+    MappingSpec spec;
+    spec.num_tgds = 2 + rng.Index(2);
+    spec.num_source_relations = 2;
+    spec.num_target_relations = 2;
+    spec.max_body_atoms = 2;
+    spec.max_head_atoms = 2;
+    DependencySet sigma = RandomMapping(spec, kTemplateTag, &rng);
+    SourceSpec source_spec;
+    source_spec.num_tuples = 3 + rng.Index(3);
+    source_spec.num_constants = 4;
+    Instance source = RandomSource(sigma, source_spec, kTemplateTag, &rng);
+    Instance target = ChaseTarget(sigma, source, /*ground=*/true);
+    if (target.empty() || target.size() > 8) continue;
+    EngineOptions small;
+    small.budgets.max_covers = 8;
+    small.budgets.max_g_homs_per_cover = 64;
+    small.budgets.max_recoveries = 16;
+    if (!Engine(sigma, small).Recover(target).ok()) continue;
+
+    ChurnTemplate shape;
+    shape.sigma = sigma.ToString();
+    for (char& c : shape.sigma) {
+      if (c == '\n') c = ';';
+    }
+    shape.target = target.ToString();
+    // Each query projects a body atom of Sigma onto one of its variables,
+    // so it names only Sigma's variables.
+    for (const Tgd* tgd : {&sigma.tgds().front(), &sigma.tgds().back()}) {
+      const Atom& atom = tgd->body().front();
+      shape.queries.push_back("Q(" + atom.args().front().ToString() +
+                              ") :- " + atom.ToString());
+    }
+    for (const Tgd& tgd : sigma.tgds()) {
+      shape.variables += tgd.all_vars().size();
+    }
+    out.push_back(std::move(shape));
+  }
+  return out;
+}
+
+std::string SessionLine(const std::string& id, const std::string& op,
+                        const std::string& session) {
+  JsonObject request;
+  request["id"] = JsonValue(id);
+  request["op"] = JsonValue(op);
+  request["session"] = JsonValue(session);
+  return JsonValue(std::move(request)).Serialize();
+}
+
+// dxrecd's churn cycle in-process: open a session on a mapping never seen
+// before, analyze, certain x2, recover, close. Everything derived from
+// Sigma (SUB(Sigma), renamed tgd copies) is compiled once per session and
+// renamed apart without interning, so a cycle interns no more variables
+// than its own Sigma, J and query texts name (J names none). Sigma's
+// variables are counted after parsing, so a collision rename counts too.
+// DXREC_SOAK_CYCLES sets the cycle count (scripts/check.sh's soak stage).
+TEST(ServeStress, ChurnCyclesInternOnlyTheirTextsVariables) {
+  const char* soak = std::getenv("DXREC_SOAK_CYCLES");
+  const size_t cycles = soak != nullptr ? std::strtoul(soak, nullptr, 10) : 200;
+  const std::vector<ChurnTemplate> templates = ChurnTemplates(16);
+  ASSERT_EQ(templates.size(), 16u);
+
+  ServerOptions options;
+  options.threads = 2;
+  auto listener = std::make_unique<LocalListener>();
+  LocalListener* local = listener.get();
+  Server server(options);
+  ASSERT_TRUE(server.Start(std::move(listener)).ok());
+  Result<std::unique_ptr<Connection>> conn = local->Connect();
+  ASSERT_TRUE(conn.ok());
+
+  size_t interned = 0;
+  size_t text_variables = 0;
+  for (size_t cycle = 0; cycle < cycles; ++cycle) {
+    const ChurnTemplate& shape = templates[cycle % templates.size()];
+    const std::string tag = "cyc" + std::to_string(cycle) + "_";
+    const std::string session = "churn" + std::to_string(cycle);
+    std::vector<std::string> lines;
+    {
+      JsonObject open;
+      open["id"] = JsonValue("open");
+      open["op"] = JsonValue("open_session");
+      open["session"] = JsonValue(session);
+      open["sigma"] = JsonValue(ReplaceTag(shape.sigma, tag));
+      open["target"] = JsonValue(ReplaceTag(shape.target, tag));
+      lines.push_back(JsonValue(std::move(open)).Serialize());
+    }
+    lines.push_back(SessionLine("analyze", "analyze", session));
+    for (const std::string& query : shape.queries) {
+      lines.push_back(CertainLine("certain", session, ReplaceTag(query, tag)));
+    }
+    lines.push_back(SessionLine("recover", "recover", session));
+    lines.push_back(SessionLine("close", "close_session", session));
+
+    const size_t before = Symbols().variables.size();
+    for (const std::string& line : lines) {
+      JsonValue reply;
+      ASSERT_TRUE(Call(**conn, line, &reply));
+      ASSERT_TRUE(reply.Find("ok")->AsBool())
+          << "cycle " << cycle << ": " << reply.Serialize();
+    }
+    const size_t grown = Symbols().variables.size() - before;
+    ASSERT_LE(grown, shape.variables)
+        << "cycle " << cycle << " interned " << grown << " variables; its "
+        << "texts name " << shape.variables;
+    interned += grown;
+    text_variables += shape.variables;
+  }
+  RecordProperty("variables_per_cycle",
+                 std::to_string(static_cast<double>(interned) /
+                                static_cast<double>(cycles)));
+  EXPECT_LE(interned, text_variables);
+  (*conn)->Close();
+  server.Drain();
 }
 
 }  // namespace
