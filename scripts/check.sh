@@ -106,15 +106,17 @@ done
 # the whole suite; this stage instead hammers the concurrency-sensitive
 # tests (pool, parallel engine, obs collectors, fault sweep, and the
 # core value types the step-7 slices read concurrently: Substitution,
-# Atom, Instance, the columnar postings) with several repetitions, which
-# is where scheduling-dependent races actually surface. Usable on its own: scripts/check.sh default with
+# Atom, Instance, the columnar postings; the daemon's shared recovery
+# sets, first read by racing requests; and the per-cover pipeline) with
+# several repetitions, which is where scheduling-dependent races
+# actually surface. Usable on its own: scripts/check.sh default with
 # DXREC_CHECK_TSAN=1 builds the tsan preset here if needed.
 if [ "${DXREC_CHECK_TSAN:-0}" = "1" ]; then
   echo "=== focused tsan pass (concurrency tests, 3 repetitions) ==="
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$jobs"
   ctest --preset tsan -j "$jobs" --repeat until-fail:3 \
-      -R 'thread_pool_test|parallel_engine_test|fault_sweep_test|obs_events_test|obs_test|obs_profiler_test|obs_export_test|resilience_test|base_test|relational_test|hom_index_property_test|columnar_diff_test'
+      -R 'thread_pool_test|parallel_engine_test|fault_sweep_test|obs_events_test|obs_test|obs_profiler_test|obs_export_test|resilience_test|base_test|relational_test|hom_index_property_test|columnar_diff_test|serve_stress_test|inverse_chase_test'
 fi
 
 # OpenMetrics exposition check: drive the CLI with --openmetrics over

@@ -41,7 +41,9 @@ void CountRecoverySetHit() {
 }
 
 // Stores a completed build in `cache` and returns the stored set, which
-// is a racing caller's when that caller stored first.
+// is a racing caller's when that caller stored first. Every recovery's
+// columnar snapshot is built first: the lazy build is the one mutation a
+// const read can make, and the published set is read from many threads.
 std::shared_ptr<const InverseChaseResult> StoreRecoverySet(
     RecoveryCache* cache, InverseChaseResult built) {
   if (obs::Enabled()) {
@@ -49,6 +51,7 @@ std::shared_ptr<const InverseChaseResult> StoreRecoverySet(
         "serve.recovery_set_builds");
     builds->Add(1);
   }
+  for (const Instance& recovery : built.recoveries) recovery.WarmColumnar();
   return cache->Put(
       std::make_shared<const InverseChaseResult>(std::move(built)));
 }

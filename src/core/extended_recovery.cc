@@ -1,7 +1,6 @@
 #include "core/extended_recovery.h"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -134,17 +133,17 @@ class AlternativeCollector {
 };
 
 // Freezes an alternative: subset variables to shared constants, other
-// variables to distinct fresh constants. Used for the dominance test.
+// variables to distinct constants, numbered from 0 per call (the frozen
+// instance lives for one dominance test, so names repeat across calls).
 Instance FreezeAlternative(const std::vector<Atom>& alternative,
                            const Substitution& pin_subset_vars) {
-  static std::atomic<uint64_t>& counter = *new std::atomic<uint64_t>(0);
   Substitution freezing = pin_subset_vars;
   Instance out;
+  int next = 0;
   for (const Atom& a : alternative) {
     for (Term t : a.args()) {
       if (t.is_variable() && !freezing.Binds(t)) {
-        freezing.Set(t, Term::Constant(
-                            "@er" + std::to_string(counter.fetch_add(1))));
+        freezing.Set(t, Term::Constant("@er" + std::to_string(next++)));
       }
     }
   }

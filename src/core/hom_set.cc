@@ -26,16 +26,14 @@ std::vector<HeadHom> ComputeHomSet(const DependencySet& sigma,
   return out;
 }
 
-Instance SourceAtomsFor(const DependencySet& sigma, const HeadHom& h,
-                        NullSource* nulls) {
+void AppendSourceAtoms(const DependencySet& sigma, const HeadHom& h,
+                       NullSource* nulls, std::vector<Atom>* out) {
   const Tgd& tgd = sigma.at(h.tgd);
   Substitution extended = h.hom;
   for (Term y : tgd.body_only_vars()) {
     extended.Set(y, nulls->Fresh());
   }
-  Instance out;
-  for (const Atom& a : tgd.body()) out.Add(a.Apply(extended));
-  return out;
+  for (const Atom& a : tgd.body()) out->push_back(a.Apply(extended));
 }
 
 Instance CoveredTuplesFor(const DependencySet& sigma,
@@ -48,8 +46,10 @@ Instance CoveredTuplesFor(const DependencySet& sigma,
 Instance SourceAtomsFor(const DependencySet& sigma,
                         const std::vector<HeadHom>& homs,
                         NullSource* nulls) {
+  std::vector<Atom> atoms;
+  for (const HeadHom& h : homs) AppendSourceAtoms(sigma, h, nulls, &atoms);
   Instance out;
-  for (const HeadHom& h : homs) out.AddAll(SourceAtomsFor(sigma, h, nulls));
+  out.AddAll(atoms);
   return out;
 }
 

@@ -219,31 +219,44 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
 
   Stopwatch phase_sw;
 
-  // 4. I_H = Chase_H(Sigma^{-1}, J); per-hom atom sets are kept when
-  // provenance is requested.
+  // 4. I_H = Chase_H(Sigma^{-1}, J), appended hom by hom; per-hom atom
+  // sets are kept only when provenance is requested.
   Instance source;
   std::vector<Instance> per_hom_sources;
   {
     obs::Span span("step4_reverse_chase");
+    std::vector<Atom> atoms;
     for (const HeadHom& h : h_set) {
-      Instance atoms = SourceAtomsFor(sigma, h, nulls);
-      if (obs::EventsEnabled()) {
-        obs::Emit("rchase.trigger",
-                  {{"cover", static_cast<int64_t>(cover_index)},
-                   {"tgd", static_cast<int64_t>(h.tgd)},
-                   {"atoms", static_cast<int64_t>(atoms.size())}});
-      }
-      if (stats_on) {
-        // The reverse chase fires Sigma^{-1} once per cover hom; there
-        // is no trigger *search*, so tested == fired by construction.
-        cstats.reverse_chase.EnsureDeps(sigma.size());
-        obs::stats::DependencyStats& dep = cstats.reverse_chase.deps[h.tgd];
-        ++dep.triggers_tested;
-        ++dep.triggers_fired;
-        dep.tuples_added += atoms.size();
+      atoms.clear();
+      AppendSourceAtoms(sigma, h, nulls, &atoms);
+      if (obs::EventsEnabled() || stats_on) {
+        // The hom's own atom set: its body images without repeats.
+        size_t distinct = 0;
+        for (auto it = atoms.begin(); it != atoms.end(); ++it) {
+          if (std::find(atoms.begin(), it, *it) == it) ++distinct;
+        }
+        if (obs::EventsEnabled()) {
+          obs::Emit("rchase.trigger",
+                    {{"cover", static_cast<int64_t>(cover_index)},
+                     {"tgd", static_cast<int64_t>(h.tgd)},
+                     {"atoms", static_cast<int64_t>(distinct)}});
+        }
+        if (stats_on) {
+          // The reverse chase fires Sigma^{-1} once per cover hom; there
+          // is no trigger *search*, so tested == fired by construction.
+          cstats.reverse_chase.EnsureDeps(sigma.size());
+          obs::stats::DependencyStats& dep =
+              cstats.reverse_chase.deps[h.tgd];
+          ++dep.triggers_tested;
+          ++dep.triggers_fired;
+          dep.tuples_added += distinct;
+        }
       }
       source.AddAll(atoms);
-      if (options.explain) per_hom_sources.push_back(std::move(atoms));
+      if (options.explain) {
+        per_hom_sources.emplace_back();
+        per_hom_sources.back().AddAll(atoms);
+      }
     }
     if (stats_on) {
       cstats.reverse_chase.rounds = 1;
@@ -269,15 +282,26 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
   cstats.seconds_forward = phase_sw.ElapsedSeconds();
   phase_sw.Reset();
 
-  // 6. g : J_H -> J, identity on dom(J).
+  // 6. g : J_H -> J, identity on dom(J); forced, with no search, when
+  // J_H holds no fresh null.
   std::vector<Substitution> gs;
   {
     obs::Span span("step6_g_hom_search");
     obs::stats::ScopedSearch g_scope(stats_on ? &cstats.g_hom : nullptr);
-    HomSearchResult search =
-        BackHomomorphisms(chased, target, options.max_g_homs_per_cover,
-                          options.context, pool,
-                          options.parallel_min_candidates, shared_budget);
+    HomSearchResult search;
+    if (std::optional<std::vector<Substitution>> forced =
+            internal::ForcedGHomomorphisms(chased, target)) {
+      search.homs = std::move(*forced);
+      // The search's max_results contract: reaching the cap reads as a
+      // truncation even when nothing more was there.
+      search.truncated =
+          !search.homs.empty() && options.max_g_homs_per_cover <= 1;
+    } else {
+      search = BackHomomorphisms(chased, target, options.max_g_homs_per_cover,
+                                 options.context, pool,
+                                 options.parallel_min_candidates,
+                                 shared_budget);
+    }
     gs = std::move(search.homs);
     if (search.truncated) {
       // Attribute the early stop: a tripped context is an interrupt (it
@@ -311,7 +335,9 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
   // for ground J; for targets with nulls the brute-force justification
   // test is the fallback). Completeness is unaffected: for any recovery
   // I*, the cover realized by I* and its induced g yield a candidate
-  // contained in I* that passes this check.
+  // contained in I* that passes this check. Under a full, join-free
+  // Sigma every uncored candidate passes, so none is checked
+  // (`decided`).
   //
   // Distinct g often collapse to the same g(I_H). Over a ground target a
   // verdict depends on the candidate only up to null labels, so each
@@ -426,9 +452,15 @@ CoverOutcome ProcessCover(const DependencySet& sigma,
   // Why each unverified candidate could not be verified; only a target
   // with nulls runs the justification search that can leave one.
   std::vector<Status> unverified(target_ground ? 0 : representatives.size());
+  const bool decided =
+      !options.core_recoveries && internal::CoversDecideRecoveries(sigma);
   for_slices(representatives.size(), [&](size_t r) {
     Instance& recovery = recoveries[r];
     recovery.AddAll(candidates[representatives[r]]);
+    if (decided) {
+      verdicts[r] = Verdict::kRecovery;
+      return;
+    }
     Verdict verdict = IsMinimalSolution(sigma, recovery, target)
                           ? Verdict::kRecovery
                           : Verdict::kRejected;
@@ -935,6 +967,42 @@ Status RunInverseChase(const DependencySet& sigma, const Instance& target,
 }  // namespace
 
 namespace internal {
+
+bool CoversDecideRecoveries(const DependencySet& sigma) {
+  std::vector<Term> seen;
+  for (TgdId id = 0; id < sigma.size(); ++id) {
+    const Tgd& tgd = sigma.at(id);
+    if (!tgd.IsFull()) return false;
+    seen.clear();
+    for (const Atom& a : tgd.body()) {
+      for (Term t : a.args()) {
+        if (!t.is_variable() ||
+            std::find(seen.begin(), seen.end(), t) != seen.end()) {
+          return false;
+        }
+        seen.push_back(t);
+      }
+    }
+  }
+  return true;
+}
+
+std::optional<std::vector<Substitution>> ForcedGHomomorphisms(
+    const Instance& chased, const Instance& target) {
+  Substitution identity;
+  for (const Atom& a : chased.atoms()) {
+    for (Term t : a.args()) {
+      if (!t.is_null() || identity.Binds(t)) continue;
+      if (target.Columnar().dict().Find(t) == TermDictionary::kNoCode) {
+        return std::nullopt;  // a fresh null: g has a choice to make
+      }
+      identity.Set(t, t);
+    }
+  }
+  std::vector<Substitution> gs;
+  if (target.ContainsAll(chased)) gs.push_back(std::move(identity));
+  return gs;
+}
 
 Result<InverseChaseResult> InverseChase(const DependencySet& sigma,
                                         const Instance& target,

@@ -23,6 +23,7 @@
 #ifndef DXREC_CORE_INVERSE_CHASE_H_
 #define DXREC_CORE_INVERSE_CHASE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,20 @@ Result<bool> IsUniversalSolutionForSomeSource(
 Result<bool> IsCanonicalSolutionForSomeSource(
     const DependencySet& sigma, const Instance& target,
     const InverseChaseOptions& options = InverseChaseOptions());
+
+// Whether every candidate g(I_H) of every cover is a recovery, so step 7
+// need not verify any: Sigma is full and join-free (no body atom repeats a
+// variable or holds a constant, and no two body atoms of a tgd share a
+// variable). docs/ALGORITHMS.md §1 gives the argument.
+bool CoversDecideRecoveries(const DependencySet& sigma);
+
+// Step 6's g : J_H -> J, identity on dom(J), without a search when J_H
+// holds no null outside dom(J): g then fixes every term of J_H, so it
+// exists iff J_H ⊆ J. Returns the list the search would (none, or one
+// substitution binding J_H's nulls to themselves in first-occurrence
+// order), or nullopt when J_H has a fresh null and the search must run.
+std::optional<std::vector<Substitution>> ForcedGHomomorphisms(
+    const Instance& chased, const Instance& target);
 
 }  // namespace internal
 }  // namespace dxrec

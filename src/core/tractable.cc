@@ -96,11 +96,13 @@ MaximalSubsetResult MaximalUniquelyCoveredSubset(const DependencySet& sigma,
       unique_hom[problem.covered_by()[t][0]] = true;
     }
   }
+  std::vector<HeadHom> owners;
   for (size_t h = 0; h < homs.size(); ++h) {
     if (!unique_hom[h]) continue;
     result.j_prime.AddAll(homs[h].CoveredTuples(sigma));
-    result.source.AddAll(SourceAtomsFor(sigma, homs[h], &FreshNulls()));
+    owners.push_back(homs[h]);
   }
+  result.source = SourceAtomsFor(sigma, owners, &FreshNulls());
   return result;
 }
 

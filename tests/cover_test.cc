@@ -51,8 +51,8 @@ TEST(HomSet, SourceAtomsUseFreshNullsForBodyOnlyVars) {
   Instance j = I("{Skc(a)}");
   std::vector<HeadHom> homs = ComputeHomSet(sigma, j);
   ASSERT_EQ(homs.size(), 1u);
-  Instance i1 = SourceAtomsFor(sigma, homs[0], &FreshNulls());
-  Instance i2 = SourceAtomsFor(sigma, homs[0], &FreshNulls());
+  Instance i1 = SourceAtomsFor(sigma, homs, &FreshNulls());
+  Instance i2 = SourceAtomsFor(sigma, homs, &FreshNulls());
   ASSERT_EQ(i1.size(), 1u);
   EXPECT_EQ(i1.atoms()[0].arg(0), Term::Constant("a"));
   EXPECT_TRUE(i1.atoms()[0].arg(1).is_null());

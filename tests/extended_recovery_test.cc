@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "base/fresh.h"
+#include "base/symbol_table.h"
 #include "chase/homomorphism.h"
 #include "core/extended_recovery.h"
 #include "core/inverse_chase.h"
@@ -169,6 +170,19 @@ TEST(ExtendedRecovery, DominanceDropsStricterAlternatives) {
   for (const DisjunctiveTgd& rule : mapping->tgds()) {
     EXPECT_EQ(rule.num_alternatives(), 1u) << rule.ToString();
   }
+}
+
+TEST(ExtendedRecovery, RepeatedCallsInternNoConstants) {
+  // The dominance test freezes variables to constants named per call, so
+  // after the first call every name it needs is already interned.
+  DependencySet sigma =
+      S("Rec(x) -> Sec(x); Mec(y) -> Sec(y); Pec(u, v) -> Tec(u), Sec(v)");
+  ASSERT_TRUE(ExtendedRecoveryMapping(sigma).ok());
+  const size_t constants = Symbols().constants.size();
+  for (int call = 0; call < 100; ++call) {
+    ASSERT_TRUE(ExtendedRecoveryMapping(sigma).ok());
+  }
+  EXPECT_EQ(Symbols().constants.size(), constants);
 }
 
 TEST(ExtendedRecovery, WorldsCoverInstanceRecoveries) {

@@ -287,12 +287,24 @@ TEST(Certain, BooleanQueryCertainty) {
 
 // --- Step 7's verification memo ----------------------------------------
 
+// Step 6 as a plain search: every g : J_H -> J that is the identity on
+// dom(J).
+std::vector<Substitution> ReferenceGHoms(const Instance& chased,
+                                         const Instance& target) {
+  HomSearchOptions options;
+  options.map_nulls = true;
+  for (Term t : target.TermsOfKind(TermKind::kNull)) options.fixed.Set(t, t);
+  return FindHomomorphisms(chased.atoms(), target, options);
+}
+
 // Step 7 without the memo, assembled from the public phases: every g of
-// every cover yields a candidate that is verified on its own. Returns the
-// verified candidates (in cover, then g order) and counts the rest.
+// every cover yields a candidate that is verified on its own. Returns
+// every candidate and the verified ones (in cover, then g order) and
+// counts the rest.
 struct ReferenceStep7 {
   size_t candidates = 0;
   size_t rejected = 0;
+  std::vector<Instance> all;
   std::vector<Instance> verified;
 };
 
@@ -309,13 +321,10 @@ ReferenceStep7 RunReferenceStep7(const DependencySet& sigma,
     for (size_t idx : cover) h_set.push_back(homs[idx]);
     Instance source = SourceAtomsFor(sigma, h_set, &FreshNulls());
     Instance chased = Chase(sigma, source, &FreshNulls());
-    HomSearchOptions options;
-    options.map_nulls = true;
-    for (Term t : target.TermsOfKind(TermKind::kNull)) options.fixed.Set(t, t);
-    for (const Substitution& g :
-         FindHomomorphisms(chased.atoms(), target, options)) {
+    for (const Substitution& g : ReferenceGHoms(chased, target)) {
       Instance candidate = source.Apply(g);
       out.candidates++;
+      out.all.push_back(candidate);
       bool ok = IsMinimalSolution(sigma, candidate, target);
       if (!ok && !target.IsGround()) {
         Result<bool> justified = IsJustifiedSolution(sigma, candidate, target);
@@ -443,10 +452,9 @@ TEST(InverseChaseMemo, VerifiesEachDistinctCandidateOnce) {
   EXPECT_EQ(ScopedStatsAndEvents::EventCounts()["recovery.deduped"],
             stats.num_recoveries_before_dedup - distinct);
   EXPECT_LT(distinct, stats.num_recoveries_before_dedup);
-  const uint64_t per_check =
-      SearchesPerCheck(sigma, result->recoveries[0], j);
-  ASSERT_GT(per_check, 0u);
-  EXPECT_EQ(run.covers[0].verify.searches, distinct * per_check);
+  // Blowup's Sigma is full and join-free: its candidates are recoveries
+  // without a check (DuplicatesInheritRejections counts the memo's).
+  EXPECT_EQ(run.covers[0].verify.searches, 0u);
 
   ReferenceStep7 reference = RunReferenceStep7(sigma, j);
   EXPECT_EQ(stats.num_recoveries_before_dedup, reference.candidates);
@@ -477,13 +485,17 @@ TEST(InverseChaseMemo, DuplicatesInheritRejections) {
   // Fewer verifications than candidates: the memo had duplicates to skip.
   obs::stats::RunStats run;
   ASSERT_TRUE(obs::stats::LastRun(&run));
-  uint64_t searches = 0;
-  for (const obs::stats::CoverStats& cover : run.covers) {
-    searches += cover.verify.searches;
-  }
+  ASSERT_EQ(run.covers.size(), 1u);
+  const uint64_t searches = run.covers[0].verify.searches;
   const uint64_t per_check =
       SearchesPerCheck(sigma, result->recoveries[0], j);
   EXPECT_LT(searches, stats.num_recoveries_before_dedup * per_check);
+  // Exactly one check per distinct candidate of the (one) cover.
+  uint64_t distinct_checks = 0;
+  for (const Instance& candidate : ExactDistinct(reference.all)) {
+    distinct_checks += SearchesPerCheck(sigma, candidate, j);
+  }
+  EXPECT_EQ(searches, distinct_checks);
 }
 
 TEST(InverseChaseMemo, TargetWithNullsVerifiesEveryCandidate) {
@@ -497,6 +509,9 @@ TEST(InverseChaseMemo, TargetWithNullsVerifiesEveryCandidate) {
     size_t candidates;
     size_t rejected;
     std::vector<std::string> recoveries;
+    // False for a full, join-free Sigma, whose candidates step 7 takes
+    // without a check.
+    bool checks;
   };
   const Case cases[] = {
       {"Rmn(x, y) -> Smn(x); Rmn(u, v) -> Tmn(v)",
@@ -509,14 +524,16 @@ TEST(InverseChaseMemo, TargetWithNullsVerifiesEveryCandidate) {
         "{Rmn(a, c), Rmn(_N0, _N1)}",
         "{Rmn(a, c), Rmn(a, _N0), Rmn(_N1, c), Rmn(_N1, _N0)}",
         "{Rmn(a, _N0), Rmn(_N1, c)}",
-        "{Rmn(a, _N0), Rmn(_N1, c), Rmn(_N1, _N0)}"}},
+        "{Rmn(a, _N0), Rmn(_N1, c), Rmn(_N1, _N0)}"},
+       false},
       {"Rmq(x, y) -> Smq(x); Rmq(u, v) -> Tmq(v); Rmq(w, w) -> Umq(w)",
        "{Smq(a), Smq(_X), Tmq(a), Tmq(_X), Tmq(c)}",
        72,
        64,
        {"{Rmq(a, c), Rmq(a, _N0), Rmq(_N0, a)}",
         "{Rmq(a, c), Rmq(a, _N0), Rmq(_N0, a), Rmq(_N0, c)}",
-        "{Rmq(a, _N0), Rmq(_N0, a), Rmq(_N0, c)}"}},
+        "{Rmq(a, _N0), Rmq(_N0, a), Rmq(_N0, c)}"},
+       true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.target);
@@ -546,11 +563,138 @@ TEST(InverseChaseMemo, TargetWithNullsVerifiesEveryCandidate) {
     obs::stats::RunStats run;
     ASSERT_TRUE(obs::stats::LastRun(&run));
     ASSERT_EQ(run.covers.size(), 1u);
+    if (!c.checks) {
+      EXPECT_EQ(run.covers[0].verify.searches, 0u);
+      continue;
+    }
     const uint64_t per_check =
         SearchesPerCheck(sigma, result->recoveries[0], j);
     EXPECT_GE(run.covers[0].verify.searches,
               stats.num_recoveries_before_dedup * per_check);
   }
+}
+
+// --- Covers of a full, join-free Sigma decide their own recoveries -------
+
+// UnfilteredOptions under the budgets of columnar_diff_test's generated
+// corpus, which keep the unbudgeted reference runs small.
+InverseChaseOptions BudgetedUnfilteredOptions() {
+  InverseChaseOptions options = UnfilteredOptions();
+  options.cover.max_covers = 64;
+  options.cover.max_nodes = 1u << 16;
+  options.max_g_homs_per_cover = 128;
+  options.max_recoveries = 128;
+  return options;
+}
+
+// Generated full, join-free mappings (every head variable drawn from the
+// body, no body variable repeated) with small targets: ground ones, and
+// ones with a null, chased from a source where one constant became that
+// null. Calls `check(name, sigma, target)` on each case whose pipeline
+// run stays within BudgetedUnfilteredOptions.
+template <typename Check>
+void ForEachJoinFreeFullCase(const Check& check) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed * 104729 + 7);
+    const std::string tag = "jf" + std::to_string(seed) + "_";
+    MappingSpec spec;
+    spec.num_tgds = 2 + rng.Index(3);
+    spec.num_source_relations = 1 + rng.Index(2);
+    spec.num_target_relations = 2;
+    spec.max_body_atoms = 2;
+    spec.max_head_atoms = 2;
+    spec.frontier_prob = 1.0;
+    spec.join_prob = 0.0;
+    DependencySet sigma = RandomMapping(spec, tag, &rng);
+    SourceSpec source_spec;
+    source_spec.num_tuples = 2 + rng.Index(3);
+    source_spec.num_constants = 4;
+    Instance source = RandomSource(sigma, source_spec, tag, &rng);
+    for (bool ground : {true, false}) {
+      Instance chased_from = source;
+      if (!ground) {
+        const std::vector<Term> constants =
+            source.TermsOfKind(TermKind::kConstant);
+        if (constants.empty()) continue;
+        Substitution to_null;
+        to_null.Set(constants[rng.Index(constants.size())],
+                    FreshNulls().Fresh());
+        chased_from = source.Apply(to_null);
+      }
+      Instance target = Chase(sigma, chased_from, &FreshNulls());
+      if (target.empty() || target.size() > 8) continue;
+      if (!internal::InverseChase(sigma, target, BudgetedUnfilteredOptions())
+               .ok()) {
+        continue;
+      }
+      check("seed " + std::to_string(seed) + (ground ? " ground" : " nulls"),
+            sigma, target);
+    }
+  }
+}
+
+TEST(DecidedCovers, EveryCandidateOfAJoinFreeFullSigmaIsARecovery) {
+  ScopedStatsAndEvents scope;
+  size_t ground_runs = 0;
+  size_t null_runs = 0;
+  ForEachJoinFreeFullCase([&](const std::string& name,
+                              const DependencySet& sigma,
+                              const Instance& target) {
+    SCOPED_TRACE(name + ": J = " + target.ToString());
+    ASSERT_TRUE(internal::CoversDecideRecoveries(sigma));
+    ReferenceStep7 reference = RunReferenceStep7(sigma, target);
+    EXPECT_EQ(reference.rejected, 0u);
+    Result<InverseChaseResult> result =
+        internal::InverseChase(sigma, target, BudgetedUnfilteredOptions());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.num_recoveries_before_dedup,
+              reference.candidates);
+    EXPECT_EQ(result->stats.num_candidates_rejected, 0u);
+    ExpectSameUpToIsomorphism(ExactDistinct(reference.verified),
+                              result->recoveries);
+    obs::stats::RunStats run;
+    ASSERT_TRUE(obs::stats::LastRun(&run));
+    for (const obs::stats::CoverStats& cover : run.covers) {
+      EXPECT_EQ(cover.verify.searches, 0u) << "cover " << cover.cover_index;
+    }
+    ++(target.IsGround() ? ground_runs : null_runs);
+  });
+  EXPECT_GT(ground_runs, 50u);
+  EXPECT_GT(null_runs, 50u);
+}
+
+TEST(DecidedCovers, ForcedGHomomorphismsMatchTheSearch) {
+  size_t forced = 0;
+  size_t searched = 0;
+  ForEachJoinFreeFullCase([&](const std::string& name,
+                              const DependencySet& sigma,
+                              const Instance& target) {
+    SCOPED_TRACE(name + ": J = " + target.ToString());
+    std::vector<HeadHom> homs = ComputeHomSet(sigma, target);
+    CoverProblem problem(sigma, target, homs);
+    Result<std::vector<Cover>> covers = problem.AllCovers(CoverOptions());
+    ASSERT_TRUE(covers.ok());
+    for (const Cover& cover : *covers) {
+      std::vector<HeadHom> h_set;
+      for (size_t idx : cover) h_set.push_back(homs[idx]);
+      Instance chased = Chase(
+          sigma, SourceAtomsFor(sigma, h_set, &FreshNulls()), &FreshNulls());
+      std::optional<std::vector<Substitution>> gs =
+          internal::ForcedGHomomorphisms(chased, target);
+      if (!gs.has_value()) {
+        ++searched;
+        continue;
+      }
+      ++forced;
+      std::vector<Substitution> want = ReferenceGHoms(chased, target);
+      ASSERT_EQ(gs->size(), want.size()) << chased.ToString();
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ((*gs)[i].ToString(), want[i].ToString());
+      }
+    }
+  });
+  EXPECT_GT(forced, 50u);
+  EXPECT_GT(searched, 50u);
 }
 
 // --- Merge's isomorphism dedup against a quadratic pass ------------------
