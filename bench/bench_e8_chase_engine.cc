@@ -206,6 +206,8 @@ BENCHMARK(BM_ChaseFullRematch)->ArgNames({"n"})->Arg(16)->Arg(48);
 // search plus the verification fan-out (docs/PARALLELISM.md). Interleave
 // the threads:1 / threads:N rows in one binary run so A/B share cache
 // state and CPU frequency; the speedup is real_time(1) / real_time(N).
+// q:4 at threads:1 is the shape dxrec-bench's engine-batch recovers most
+// often: 256 candidates g(I_H) onto 70 recoveries.
 void BM_InverseChase(benchmark::State& state) {
   DependencySet sigma = BlowupScenario::Sigma();
   Instance j =
@@ -225,6 +227,7 @@ void BM_InverseChase(benchmark::State& state) {
 }
 BENCHMARK(BM_InverseChase)
     ->ArgNames({"q", "threads"})
+    ->Args({4, 1})
     ->Args({6, 1})
     ->Args({6, 4})
     ->UseRealTime()

@@ -178,28 +178,37 @@ echo "explain analyze: deterministic tree + stats families OK"
 
 # Recovery differential smoke: the same CLI recovery session at
 # threads=1 and threads=4 must print byte-identical output, and both must
-# match the committed golden (tests/golden/cli_recover_warehouse.txt;
-# tests/columnar_diff_test.cc is the exhaustive version, this catches a
-# CLI-level wiring break).
+# match the committed golden (tests/columnar_diff_test.cc is the
+# exhaustive version, this catches a CLI-level wiring break). Warehouse
+# has a single candidate; Blowup p=2 q=4 has one cover whose 256
+# candidates collapse onto 70 recoveries, so it runs step 7's candidate
+# table, its duplicates and merge (tests/golden/cli_recover_blowup.txt).
 echo "=== recovery differential check ==="
-diff_target='{Ledger(ann, o1), Shipment(o1, tea), Available(tea)}'
 # The recover summary line carries wall-clock ms — strip it; everything
 # else (counters and the recoveries themselves) must match byte-for-byte.
-for threads in 1 4; do
-  printf 'loadsigma examples/data/warehouse.tgds\ntarget %s\nrecover\nquit\n' \
-      "$diff_target" \
-    | build/examples/dxrec_cli --threads="$threads" \
-    | sed 's/ | ms: [^]]*\]/]/' >"$om_dir/rec_t$threads.txt"
-done
-if ! diff -u "$om_dir/rec_t1.txt" "$om_dir/rec_t4.txt"; then
-  echo "recover output diverged between threads=1 and threads=4" >&2
-  exit 1
-fi
-if ! diff -u tests/golden/cli_recover_warehouse.txt "$om_dir/rec_t1.txt"; then
-  echo "recover output diverged from the committed golden" >&2
-  exit 1
-fi
-echo "recovery differential: threads=1 == threads=4 == golden OK"
+check_recover_differential() {  # name, session text
+  for threads in 1 4; do
+    printf '%s\n' "$2" \
+      | build/examples/dxrec_cli --threads="$threads" \
+      | sed 's/ | ms: [^]]*\]/]/' >"$om_dir/rec_$1_t$threads.txt"
+  done
+  if ! diff -u "$om_dir/rec_$1_t1.txt" "$om_dir/rec_$1_t4.txt"; then
+    echo "$1 recover output diverged between threads=1 and threads=4" >&2
+    exit 1
+  fi
+  if ! diff -u "tests/golden/cli_recover_$1.txt" "$om_dir/rec_$1_t1.txt"; then
+    echo "$1 recover output diverged from the committed golden" >&2
+    exit 1
+  fi
+}
+check_recover_differential warehouse \
+  "$(printf 'loadsigma examples/data/warehouse.tgds\ntarget %s\nrecover\nquit\n' \
+      '{Ledger(ann, o1), Shipment(o1, tea), Available(tea)}')"
+check_recover_differential blowup \
+  "$(printf 'sigma %s\ntarget %s\nrecover\nquit\n' \
+      'Rb(x, y) -> Sb(x); Rb(u, v) -> Tb(v)' \
+      '{Sb(a0), Sb(a1), Tb(c0), Tb(c1), Tb(c2), Tb(c3)}')"
+echo "recovery differential: threads=1 == threads=4 == golden OK (warehouse, blowup)"
 
 # dxrecd serve smoke (always on): boot the server on an ephemeral port,
 # drive it with the closed-loop load generator, validate the BENCH_SERVE

@@ -33,9 +33,9 @@ RenamedInstance VariablesToNulls(const Instance& input, NullSource* source) {
 
 namespace {
 
-// `sorted` (distinct atoms, in sorted order) with nulls renumbered _N0,
+// Renumbers the nulls of `sorted` (distinct atoms, in sorted order) _N0,
 // _N1, ... in order of first occurrence.
-std::vector<Atom> RenumberNulls(std::vector<Atom> sorted) {
+void RenumberNulls(std::span<Atom> sorted) {
   Substitution renumbering;
   uint32_t next = 0;
   for (const Atom& a : sorted) {
@@ -46,7 +46,6 @@ std::vector<Atom> RenumberNulls(std::vector<Atom> sorted) {
     }
   }
   for (Atom& a : sorted) a = a.Apply(renumbering);
-  return sorted;
 }
 
 }  // namespace
@@ -54,8 +53,9 @@ std::vector<Atom> RenumberNulls(std::vector<Atom> sorted) {
 Instance CanonicalizeNullLabels(const Instance& input) {
   std::vector<Atom> sorted = input.atoms();
   std::sort(sorted.begin(), sorted.end());
+  RenumberNulls(sorted);
   Instance out;
-  out.AddAll(RenumberNulls(std::move(sorted)));
+  out.AddAll(sorted);
   return out;
 }
 
@@ -63,18 +63,21 @@ std::string CanonicalString(const Instance& input) {
   return CanonicalizeNullLabels(input).ToString();
 }
 
-std::vector<Atom> CanonicalAtoms(std::vector<Atom> atoms) {
+size_t CanonicalizeAtoms(std::span<Atom> atoms) {
   std::sort(atoms.begin(), atoms.end());
-  atoms.erase(std::unique(atoms.begin(), atoms.end()), atoms.end());
+  std::span<Atom> distinct =
+      atoms.first(std::unique(atoms.begin(), atoms.end()) - atoms.begin());
   // Without nulls there is nothing to renumber, and the atoms are sorted.
   auto holds_null = [](const Atom& a) {
     return std::any_of(a.args().begin(), a.args().end(),
                        [](Term t) { return t.is_null(); });
   };
-  if (std::none_of(atoms.begin(), atoms.end(), holds_null)) return atoms;
-  atoms = RenumberNulls(std::move(atoms));
-  std::sort(atoms.begin(), atoms.end());
-  return atoms;
+  if (std::none_of(distinct.begin(), distinct.end(), holds_null)) {
+    return distinct.size();
+  }
+  RenumberNulls(distinct);
+  std::sort(distinct.begin(), distinct.end());
+  return distinct.size();
 }
 
 }  // namespace dxrec

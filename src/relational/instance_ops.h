@@ -3,6 +3,7 @@
 #ifndef DXREC_RELATIONAL_INSTANCE_OPS_H_
 #define DXREC_RELATIONAL_INSTANCE_OPS_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,10 +46,12 @@ Instance CanonicalizeNullLabels(const Instance& input);
 // yield the same string.
 std::string CanonicalString(const Instance& input);
 
-// The atoms CanonicalString renders, sorted, without rendering them: two
-// instances have equal CanonicalAtoms iff they have equal CanonicalStrings.
-// `atoms` is read as the instance holding them (repeats collapse).
-std::vector<Atom> CanonicalAtoms(std::vector<Atom> atoms);
+// Rewrites `atoms`, read as the instance holding them (repeats collapse),
+// into the atoms CanonicalString renders, sorted, without rendering them,
+// and returns their number: they are the first ones of `atoms`, and the
+// rest are left moved-from. Two instances have equal canonical atoms iff
+// they have equal CanonicalStrings.
+size_t CanonicalizeAtoms(std::span<Atom> atoms);
 
 }  // namespace dxrec
 
